@@ -60,7 +60,7 @@ def main():
     for iname, pointers in res.items:
         print(f"  {iname.values} -> {[format_pname(p) for p in pointers]}")
 
-    print(f"\nrouting-update messages exchanged: {world.metrics.routing_updates}")
+    print(f"\nmessage types sent (no routing updates): {sorted(world.metrics.sent)}")
 
 
 if __name__ == "__main__":

@@ -61,7 +61,7 @@ def main():
         loop.run()
     m = net.metrics
     print(f"  worst observed hops {max(m.xfind_hops)} "
-          f"(bound {pmap.max_hops()}), routing updates {m.routing_updates}")
+          f"(bound {pmap.max_hops()}), message types sent {sorted(m.sent)}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ import sys
 from .infolayer import Action, InfoNetwork, Requester, SegmentCuts
 from .model import AttributeKind, ObjectClass, make_form
 from .scenario import (
-    Scenario,
     generate_workload,
     load_scenario,
     oracle_find,
@@ -19,10 +18,7 @@ from .sim import EventLoop, Metrics, Trace
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.seed is not None:
-        scenario.seed = args.seed
-    result = run(scenario)
+    result = run(load_scenario(args.scenario))
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(result.trace.text())
@@ -90,7 +86,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario file")
     p_run.add_argument("scenario")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--trace", metavar="FILE", help="write the trace log")
     p_run.add_argument("--metrics", metavar="FILE", help="write the metrics CSV")
     p_run.add_argument("--run-id", default="run0")

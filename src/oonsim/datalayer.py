@@ -45,8 +45,6 @@ class DataMessage:
     callee: PName
     callee_method: str
     reply_to_method: str
-    priority: int = 0
-    cumulated_time: int = 0
     payload: bytes = b""
     hop_limit: int = 64
     visited: list = field(default_factory=list)  # routers seen; instrumentation
@@ -279,7 +277,6 @@ class DataNetwork:
                 return
             peer, latency = domain.interfaces[arg]
             msg.hop_limit -= 1
-            msg.cumulated_time += latency
             self.loop.post(latency, f"router:{peer}", msg)
         else:
             self._deliver(domain, arg, msg)

@@ -17,7 +17,6 @@ from enum import Enum
 from typing import Optional
 
 from .model import (
-    AccessPolicy,
     InformationalForm,
     ObjectClass,
     OonError,
@@ -84,7 +83,6 @@ class Requester:
     """Summary of the requesting object carried on every request."""
 
     class_name: str
-    label: str = ""
 
 
 @dataclass
@@ -92,7 +90,6 @@ class IRNNode:
     irn_id: int
     owned: set = field(default_factory=set)          # grid coordinates
     store: dict = field(default_factory=dict)        # normalized key -> form
-    neighbors: set = field(default_factory=set)      # adjacent node ids
 
 
 @dataclass
@@ -102,15 +99,7 @@ class PartitionMap:
     cls: ObjectClass
     dim_cuts: tuple     # per defining attribute, sorted boundary keys
     dims: tuple         # per-attribute segment counts
-    irn_count: int
     assignment: dict    # coordinate -> node id
-
-    @property
-    def class_name(self) -> str:
-        return self.cls.class_name
-
-    def cells(self):
-        return itertools.product(*(range(n) for n in self.dims))
 
     def cell_of_key(self, key: tuple) -> tuple:
         return tuple(bisect_right(cuts, k) for cuts, k in zip(self.dim_cuts, key))
@@ -126,8 +115,7 @@ class PartitionMap:
 def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     """Create the partition map and its relay nodes.
 
-    Cells are assigned round-robin in row-major order; node neighbor sets
-    come from grid adjacency of their cells.
+    Cells are assigned round-robin in row-major order.
     """
     if irn_count < 1:
         raise ValueError("irn_count must be >= 1")
@@ -144,40 +132,29 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     assignment = {}
     for idx, coord in enumerate(itertools.product(*(range(n) for n in dims))):
         assignment[coord] = idx % irn_count
-    pmap = PartitionMap(cls, tuple(dim_cuts), dims, irn_count, assignment)
+    pmap = PartitionMap(cls, tuple(dim_cuts), dims, assignment)
 
     nodes = [IRNNode(i) for i in range(irn_count)]
     for coord, nid in assignment.items():
         nodes[nid].owned.add(coord)
-    for coord, nid in assignment.items():
-        for adj in _adjacent(coord, dims):
-            other = assignment[adj]
-            if other != nid:
-                nodes[nid].neighbors.add(other)
     return pmap, nodes
 
 
-def _adjacent(coord, dims):
-    for d in range(len(coord)):
-        for step in (-1, 1):
-            v = coord[d] + step
-            if 0 <= v < dims[d]:
-                yield coord[:d] + (v,) + coord[d + 1:]
-
-
 def locate_partitions(pmap: PartitionMap, q: Query) -> frozenset:
-    """Exactly the cells whose segments intersect the query's key intervals."""
+    """The cells whose segments intersect the query's key intervals.
+
+    An open lower bound is bisected as if closed, which can add a cell
+    holding no match but never drops one.
+    """
     validate_query(q, pmap.cls)
     per_dim = []
     for (name, kind), cuts in zip(pmap.cls.defining_attributes, pmap.dim_cuts):
-        lo, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
-        i_lo = bisect_right(cuts, lo) if lo is not None else 0
+        lo, _, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
+        i_lo = 0 if lo is None else bisect_right(cuts, lo)
         if hi is None:
             i_hi = len(cuts)
-        elif hi_open:
-            i_hi = bisect_left(cuts, hi)
         else:
-            i_hi = bisect_right(cuts, hi)
+            i_hi = (bisect_left if hi_open else bisect_right)(cuts, hi)
         per_dim.append(range(i_lo, i_hi + 1))
     return frozenset(itertools.product(*per_dim))
 
@@ -190,9 +167,7 @@ class XFindMessage:
     request_id: int
     action: Action
     payload: object              # Query for FIND, InformationalForm otherwise
-    origin: int                  # issuing node id
     requester: Requester
-    timestamp: int
     targets: frozenset           # grid coordinates still to serve
     path: tuple = ()             # node ids visited before the current one
     hop_limit: int = 64
@@ -220,21 +195,23 @@ def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> 
 
     Each target is routed via the first dimension with a nonzero delta from
     the node's nearest owned cell, so the grid distance strictly decreases
-    every hop.  Targets sharing a next hop are batched.
+    every hop.  A node that owns no cell (more nodes than cells) has no grid
+    position and hands each target straight to its owner.  Targets sharing
+    a next hop are batched.
     """
     remaining = [t for t in sorted(targets) if t not in node.owned]
     if not remaining:
         return []
     if msg.hop_limit <= 0:
         raise HopLimitExceeded(f"request {msg.request_id} out of hops at node {node.irn_id}")
+    owned = sorted(node.owned)
     groups = {}
     for t in remaining:
-        cell = min(sorted(node.owned),
-                   key=lambda c: sum(abs(a - b) for a, b in zip(c, t)))
-        for d in range(len(cell)):
-            if cell[d] != t[d]:
-                step = cell[:d] + (cell[d] + (1 if t[d] > cell[d] else -1),) + cell[d + 1:]
-                break
+        step = t
+        if owned:
+            cell = min(owned, key=lambda c: sum(abs(a - b) for a, b in zip(c, t)))
+            d = next(d for d in range(len(cell)) if cell[d] != t[d])
+            step = cell[:d] + (cell[d] + (1 if t[d] > cell[d] else -1),) + cell[d + 1:]
         groups.setdefault(pmap.assignment[step], set()).add(t)
     return [(nid, frozenset(groups[nid])) for nid in sorted(groups)]
 
@@ -311,7 +288,6 @@ def _results(node, msg, forms=(), ack=None, detail=""):
 class RequestState:
     request_id: int
     action: Action
-    entry: int
     expected: frozenset          # node ids that must respond
     issued_at: int
     responded: set = field(default_factory=set)
@@ -375,12 +351,14 @@ class InfoNetwork:
         expected = frozenset(self.pmap.assignment[c] for c in targets)
         rid = self._next_request
         self._next_request += 1
-        rec = RequestState(rid, action, entry, expected, self.loop.now)
+        rec = RequestState(rid, action, expected, self.loop.now)
         self.requests[rid] = rec
+        if not expected:  # an empty key interval: no cell can hold a match
+            rec.status, rec.completed_at = "complete", self.loop.now
+            return rid
         msg = XFindMessage(
-            request_id=rid, action=action, payload=payload, origin=entry,
-            requester=requester, timestamp=self.loop.now, targets=targets,
-            hop_limit=self.hop_limit)
+            request_id=rid, action=action, payload=payload, requester=requester,
+            targets=targets, hop_limit=self.hop_limit)
         self.metrics.sent["xfind"] += 1
         self.loop.post(0, self._target(entry), msg)
         rec.deadline_handle = self.loop.post(self.deadline, self._target(entry),
@@ -410,29 +388,20 @@ class InfoNetwork:
         except HopLimitExceeded:
             self.metrics.dropped["xfind"] += 1
             self.metrics.drops_by_cause["hop_limit"] += 1
-            self._send_results(node, _results(node, msg, ack=False,
-                                              detail="hop_limit_exceeded"))
-            return
-        self.metrics.delivered["xfind"] += 1
-        self.metrics.xfind_hops.append(len(msg.path))
+            results = _results(node, msg, ack=False, detail="hop_limit_exceeded")
+            forwards = []
+        else:
+            self.metrics.delivered["xfind"] += 1
+            self.metrics.xfind_hops.append(len(msg.path))
         if results is not None:
-            self._send_results(node, results)
+            self.metrics.sent["results"] += 1
+            self._on_results(node, results)
         for nid, fwd in forwards:
             self.metrics.sent["xfind"] += 1
             self.loop.post(self.latency, self._target(nid), fwd)
 
-    def _send_results(self, node: IRNNode, rmsg: ResultsMessage) -> None:
-        self.metrics.sent["results"] += 1
-        self.trace.log(f"RESULTS req={rmsg.request_id} at=irn{node.irn_id} "
-                       f"{_fmt_results(rmsg)}")
-        if rmsg.reverse_path:
-            nxt = rmsg.reverse_path[0]
-            self.loop.post(self.latency, self._target(nxt),
-                           replace(rmsg, reverse_path=rmsg.reverse_path[1:]))
-        else:
-            self._deliver_results(rmsg)
-
     def _on_results(self, node: IRNNode, rmsg: ResultsMessage) -> None:
+        """Log a results message at a node, then forward it or deliver it."""
         self.trace.log(f"RESULTS req={rmsg.request_id} at=irn{node.irn_id} "
                        f"{_fmt_results(rmsg)}")
         if rmsg.reverse_path:
@@ -440,11 +409,8 @@ class InfoNetwork:
             self.loop.post(self.latency, self._target(nxt),
                            replace(rmsg, reverse_path=rmsg.reverse_path[1:]))
         else:
-            self._deliver_results(rmsg)
-
-    def _deliver_results(self, rmsg: ResultsMessage) -> None:
-        self.metrics.delivered["results"] += 1
-        self.gather_results(rmsg)
+            self.metrics.delivered["results"] += 1
+            self.gather_results(rmsg)
 
     # -- origin-side accounting ----------------------------------------------
 
@@ -468,7 +434,6 @@ class InfoNetwork:
         if rec.status == "pending" and rec.responded >= rec.expected:
             rec.status = "complete"
             rec.completed_at = self.loop.now
-            self.metrics.query_latency.append(rec.completed_at - rec.issued_at)
             self._cancel_deadline(rec)
         return rec
 

@@ -8,7 +8,7 @@ scripted steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .datalayer import (
@@ -23,7 +23,6 @@ from .datalayer import (
 from .infolayer import Action, InfoNetwork, Requester, SegmentCuts
 from .model import (
     AccessPolicy,
-    IName,
     InformationalForm,
     ObjectClass,
     OPEN_POLICY,
@@ -34,7 +33,7 @@ from .model import (
     make_form,
     normalize_value,
 )
-from .naming import Authority, LocalAllocator
+from .naming import Authority
 from .sim import EventLoop, Metrics, Trace
 
 
@@ -64,7 +63,8 @@ class ObjectSpec:
 
 @dataclass
 class _Record:
-    spec: ObjectSpec
+    spec: ObjectSpec             # as given; never written
+    domain: str                  # current home domain, moved by migrate
     pname: Optional[PName] = None
     host: Optional[ObjectHost] = None
     form: Optional[InformationalForm] = None
@@ -133,7 +133,7 @@ class World:
     # -- object lifecycle -----------------------------------------------------
 
     def add_object(self, spec: ObjectSpec) -> None:
-        self.registry[spec.obj_id] = _Record(spec)
+        self.registry[spec.obj_id] = _Record(spec, spec.domain)
 
     def record(self, obj_id: str) -> _Record:
         if obj_id not in self.registry:
@@ -144,15 +144,15 @@ class World:
         """Mint a pname, create the host, install routes to its domain."""
         rec = self.record(obj_id)
         spec = rec.spec
-        if spec.domain not in self.datanet.domains:
-            raise UnknownDomain(f"{spec.domain!r}")
+        if rec.domain not in self.datanet.domains:
+            raise UnknownDomain(f"{rec.domain!r}")
         cls = self.classes[spec.class_name]
         for name in cls.defining_names:
             normalize_value(spec.values[name], cls.kind_of(name))
-        pname = self._allocators[spec.domain].mint_pname()
+        pname = self._allocators[rec.domain].mint_pname()
         host = ObjectHost(pname, spec.class_name, cls.methods, spec.policy)
-        self.datanet.add_host(spec.domain, host)
-        self._route(pname.global_id, spec.domain)
+        self.datanet.add_host(rec.domain, host)
+        self._route(pname.global_id, rec.domain)
         self._by_pname[pname] = spec.class_name
         rec.pname, rec.host = pname, host
         return host, pname
@@ -202,7 +202,7 @@ class World:
     def _action(self, spec: ObjectSpec, action: Action, form) -> str:
         net = self.info[spec.class_name]
         rid = net.issue_request(spec.entry_irn, action, form,
-                                Requester(spec.class_name, spec.obj_id))
+                                Requester(spec.class_name))
         self.loop.run()
         req = net.request(rid)
         if req.status != "complete":
@@ -230,7 +230,7 @@ class World:
             raise UnknownDomain(f"{to_domain!r}")
         host = self.datanet.remove_host(rec.pname)
         self.datanet.add_host(to_domain, host)
-        rec.spec.domain = to_domain
+        rec.domain = to_domain
         self.datanet.install_routes(rec.pname.global_id, to_domain)
         self._installed[rec.pname.global_id] = to_domain
 

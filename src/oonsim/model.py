@@ -236,7 +236,6 @@ class InformationalForm:
     description: dict
     management: dict = field(default_factory=dict)
     relationship: list = field(default_factory=list)
-    related_objects: list = field(default_factory=list)
     methods: tuple = ()
     policy: AccessPolicy = OPEN_POLICY
 
@@ -357,43 +356,44 @@ def validate_query(q: Query, cls: ObjectClass) -> None:
     for name, pred in q.predicates:
         kind = cls.kind_of(name)  # raises UnknownAttribute
         if isinstance(pred, Range):
-            if normalize_value(pred.lo, kind) > normalize_value(pred.hi, kind):
+            lo, _, hi, _ = predicate_interval(pred, kind)
+            if lo > hi:
                 raise InvalidRange(f"range on {name!r} has lo > hi")
 
 
-def match_predicate(pred: Predicate, key: Optional[str], kind: AttributeKind) -> bool:
-    """Evaluate one predicate against a normalized key (None = value absent)."""
-    if isinstance(pred, AnyValue):
-        return True
-    if key is None:
-        return False
-    if isinstance(pred, Eq):
-        return key == normalize_value(pred.value, kind)
-    if isinstance(pred, Prefix):
-        return key.startswith(pred.text.casefold())
-    if isinstance(pred, Range):
-        lo = normalize_value(pred.lo, kind)
-        hi = normalize_value(pred.hi, kind)
-        if pred.inclusive:
-            return lo <= key <= hi
-        return lo < key < hi
-    raise TypeError(f"unknown predicate {pred!r}")
-
-
 def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
-    """True iff every predicate is satisfied by the form's normalized values."""
+    """True iff the form's normalized values lie in every non-ANY
+    predicate's interval; an absent value satisfies nothing but ANY."""
     if q.class_name != cls.class_name or form.iname.class_name != cls.class_name:
         raise ClassMismatch(
             f"query class {q.class_name!r} vs form class {form.iname.class_name!r}")
-    for name, pred in q.predicates:
-        kind = cls.kind_of(name)
+    for name, kind, lo, lo_open, hi, hi_open in _intervals(q, cls):
         raw = form.description.get(name)
-        key = None
-        if raw is not None:
-            key = normalize_value(raw, kind)
-        if not match_predicate(pred, key, kind):
+        if raw is None:
+            return False
+        key = normalize_value(raw, kind)
+        if lo is not None and (key <= lo if lo_open else key < lo):
+            return False
+        if hi is not None and (key >= hi if hi_open else key > hi):
             return False
     return True
+
+
+def _intervals(q: Query, cls: ObjectClass) -> tuple:
+    """(attribute, kind, lo, lo_open, hi, hi_open) per non-ANY predicate.
+
+    Built on a query's first evaluation against a class and kept on the
+    immutable query, so a scan over a whole store builds them once.
+    """
+    cached = q.__dict__.get("_intervals")
+    if cached is None or cached[0] is not cls:
+        rows = []
+        for name, pred in q.predicates:
+            kind = cls.kind_of(name)
+            if not isinstance(pred, AnyValue):
+                rows.append((name, kind) + predicate_interval(pred, kind))
+        cached = q.__dict__["_intervals"] = (cls, tuple(rows))
+    return cached[1]
 
 
 def _increment_key(key: str) -> Optional[str]:
@@ -406,20 +406,22 @@ def _increment_key(key: str) -> Optional[str]:
 
 
 def predicate_interval(pred: Predicate, kind: AttributeKind):
-    """Key interval covered by a predicate: (lo, hi, hi_open).
+    """Exact key interval of a predicate: (lo, lo_open, hi, hi_open).
 
-    None bounds are unbounded.  A closed over-approximation is fine here:
-    location only needs to never miss a segment, node-local matching is
-    exact.
+    A normalized key satisfies the predicate iff it lies in the interval;
+    None bounds are unbounded.  This is the one definition of what Eq,
+    Prefix and Range mean, shared by matching and location.
     """
     if isinstance(pred, AnyValue):
-        return (None, None, False)
+        return (None, False, None, False)
     if isinstance(pred, Eq):
         k = normalize_value(pred.value, kind)
-        return (k, k, False)
+        return (k, False, k, False)
     if isinstance(pred, Prefix):
         p = pred.text.casefold()
-        return (p, _increment_key(p), True)
+        return (p, False, _increment_key(p), True)
     if isinstance(pred, Range):
-        return (normalize_value(pred.lo, kind), normalize_value(pred.hi, kind), False)
+        is_open = not pred.inclusive
+        return (normalize_value(pred.lo, kind), is_open,
+                normalize_value(pred.hi, kind), is_open)
     raise TypeError(f"unknown predicate {pred!r}")

@@ -8,7 +8,7 @@ all the architecture requires.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import OonError, PName, U64_MAX
 

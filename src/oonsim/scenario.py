@@ -1,9 +1,10 @@
 """Scenario loading, workload generation, oracle and the run driver.
 
 A scenario is a JSON document describing classes, the partition layout,
-the domain topology, objects and an ordered action script.  Runs are a
-pure function of (scenario, seed): the only randomness is the seeded
-Mersenne Twister behind the workload generator.
+the domain topology, objects and an ordered action script.  A run is a
+pure function of its scenario: the World never writes into the object
+specs it is given, and the only randomness is the seeded Mersenne
+Twister behind the workload generator, which runs do not use.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .infolayer import Requester, check_access
-from .lifecycle import AuditReport, ObjectSpec, World
+from .lifecycle import ObjectSpec, World
 from .model import (
     ANY,
     AccessPolicy,
     AttributeKind,
     Eq,
-    InformationalForm,
     ObjectClass,
     OonError,
     Prefix,

@@ -9,15 +9,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Event:
-    tick: int
-    seq: int
-    target: str
-    payload: object
 
 
 class EventLoop:
@@ -38,10 +29,10 @@ class EventLoop:
         """Schedule a payload; returns a handle usable with cancel()."""
         if delay < 0:
             raise ValueError("negative delay")
-        ev = Event(self.now + delay, self._seq, target, payload)
+        tick, seq = self.now + delay, self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (ev.tick, ev.seq, ev))
-        return (ev.tick, ev.seq)
+        heapq.heappush(self._heap, (tick, seq, target, payload))
+        return (tick, seq)
 
     def cancel(self, handle: tuple) -> None:
         """Cancelled events are discarded without advancing the clock."""
@@ -53,14 +44,14 @@ class EventLoop:
         while self._heap:
             if max_events is not None and processed >= max_events:
                 break
-            tick, seq, ev = heapq.heappop(self._heap)
+            tick, seq, target, payload = heapq.heappop(self._heap)
             if (tick, seq) in self._cancelled:
                 self._cancelled.discard((tick, seq))
                 continue
             assert (tick, seq) > self._last, "event ordering violated"
             self._last = (tick, seq)
             self.now = tick
-            self._handlers[ev.target](ev.payload)
+            self._handlers[target](payload)
             processed += 1
         return processed
 
@@ -106,8 +97,6 @@ class Metrics:
         self.drops_by_cause = Counter()
         self.data_hops = []          # inter-domain hops per delivered data message
         self.xfind_hops = []         # inter-relay hops per processed xfind
-        self.query_latency = []      # ticks from issue to request completion
-        self.routing_updates = 0     # inter-relay routing-update messages
         self.fib_inter_size = 0      # max over routers at end of run
         self.fib_intra_size = 0
         self.irn_store_sizes = []

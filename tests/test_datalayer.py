@@ -234,7 +234,6 @@ class TestRoutingProperties:
                     callee=PName(1, 1),
                     callee_method=rng.choice(["SendDataTo", "Listening"]),
                     reply_to_method=rng.choice(["SinkDataFrom", "Ingest"]),
-                    priority=rng.randint(0, 7),
                     payload=bytes(rng.randrange(256) for _ in range(8)))
                 assert route_data(domain, mutated) == want
 

@@ -40,7 +40,7 @@ REQ = Requester("person")
 
 def _msg(action, payload, targets, path=(), hop_limit=64, rid=1):
     return XFindMessage(request_id=rid, action=action, payload=payload,
-                        origin=0, requester=REQ, timestamp=0,
+                        requester=REQ,
                         targets=frozenset(targets), path=tuple(path),
                         hop_limit=hop_limit)
 
@@ -98,6 +98,11 @@ class TestLocatePartitions:
     def test_any_everywhere(self):
         q = Query("book", {})
         assert locate_partitions(self.pmap, q) == frozenset(self.pmap.assignment)
+
+    def test_exclusive_range_stops_below_its_cut(self):
+        # keys < "n" all lie in segment 0; the cut itself is excluded
+        q = Query("book", {"title": Range("l", "n", inclusive=False)})
+        assert locate_partitions(self.pmap, q) == {(0, 0), (0, 1)}
 
     def test_prefix_stays_in_one_segment(self):
         q = Query("book", {"title": Prefix("fo"), "author": ANY})
@@ -249,6 +254,14 @@ class TestRequestLifecycle:
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
         assert net.request(rid).expected == frozenset({0, 1})
 
+    def test_empty_interval_completes_without_messages(self):
+        # an exclusive range with lo == hi on a cut locates no cell
+        net = make_info()
+        q = Query("book", {"title": Range("n", "n", inclusive=False)})
+        rid = net.issue_request(0, Action.FIND, q, REQ)
+        assert net.request(rid).status == "complete"
+        assert net.loop.run() == 0 and net.metrics.messages_sent() == 0
+
     def test_gather_completes_on_full_coverage(self):
         net = make_info()
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
@@ -350,7 +363,7 @@ class TestNetworkProperties:
             net.loop.run()
         net.issue_request(0, Action.FIND, Query("book", {}), REQ)
         net.loop.run()
-        assert net.metrics.routing_updates == 0
+        assert set(net.metrics.sent) == {"xfind", "results"}
 
     def test_hop_count_bounded_by_grid_perimeter(self):
         net = make_info(cuts={"title": ["g", "n", "t"], "author": ["g", "n", "t"]},

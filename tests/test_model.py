@@ -181,6 +181,21 @@ class TestEvalQuery:
         form = make_form(BOOK, {"title": "x", "author": "a", "pages": 1970})
         assert not eval_query(Query("book", {"pages": Range(1950, 1960)}), form, BOOK)
 
+    def test_exclusive_range_excludes_endpoints(self):
+        q = Query("book", {"pages": Range(10, 20, inclusive=False)})
+        got = [p for p in (9, 10, 11, 19, 20)
+               if eval_query(q, make_form(BOOK, {"title": "x", "author": "a", "pages": p}),
+                             BOOK)]
+        assert got == [11, 19]
+
+    def test_one_query_against_two_classes_of_one_name(self):
+        # intervals kept on the query must follow the class's kinds
+        q = Query("c", {"v": Prefix("1")})
+        text_cls = ObjectClass("c", (("v", TEXT),))
+        int_cls = ObjectClass("c", (("v", AttributeKind.INTEGER),))
+        assert eval_query(q, make_form(text_cls, {"v": "1x"}), text_cls)
+        assert not eval_query(q, make_form(int_cls, {"v": 1}), int_cls)
+
     def test_prefix_count_against_scan(self):
         titles = ["foundation", "foundling", "dune"]
         forms = [make_form(BOOK, {"title": t, "author": "a"}) for t in titles]

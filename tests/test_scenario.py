@@ -111,6 +111,12 @@ class TestRun:
         assert r1.trace.sha256() == r2.trace.sha256()
         assert r1.metrics.csv_row("x") == r2.metrics.csv_row("x")
 
+    @pytest.mark.parametrize("name", ["golden.json", "fault.json"])
+    def test_rerun_of_one_loaded_scenario_identical(self, name):
+        # migrate must not write into the scenario's object specs
+        sc = load_scenario(str(SCENARIOS / name))
+        assert run(sc).trace.sha256() == run(sc).trace.sha256()
+
     def test_empty_script_sends_nothing(self):
         raw = golden_raw()
         raw["script"] = []
