@@ -1,7 +1,8 @@
-"""Look inside the discovery grid: cells, ownership and greedy forwarding.
+"""Look inside the discovery grid: cells, ownership and tree forwarding.
 
 Shows how a class's namespace is cut into lexicographic segments, which
-relay node owns which grid cell, where a query must travel, and that the
+relay node owns which grid cell, where a query must travel, the route an
+entry node's breadth-first tree gives to every other node, and that the
 observed hop counts respect the analytic bound with zero routing state
 exchanged.
 """
@@ -34,7 +35,8 @@ def main():
     print(f"grid {pmap.dims} over {len(nodes)} relay nodes, "
           f"analytic hop bound {pmap.max_hops()}")
     for node in nodes:
-        print(f"  irn{node.irn_id} owns {sorted(node.owned)}")
+        print(f"  irn{node.irn_id} owns {sorted(node.owned)}, "
+              f"routes {sorted(pmap.routes[node.irn_id].values())}")
 
     print("\n== where queries go ==")
     for q in (Query("track", {"artist": Eq("coltrane"), "title": Eq("naima")}),

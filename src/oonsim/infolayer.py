@@ -2,9 +2,10 @@
 
 The per-class multi-attribute namespace is cut into lexicographic
 segments per dimension; the resulting grid cells are assigned round-robin
-to relay nodes.  Requests (xFind) are routed greedily over the grid using
-nothing but the static partition map, and responses (Results) walk the
-recorded path back to the issuing node.  No routing state is ever
+to relay nodes.  A request (xFind) travels down its entry node's
+breadth-first tree of the relay nodes, computed from nothing but the static
+partition map, so each node serves it at most once; responses (Results)
+walk the recorded path back to the issuing node.  No routing state is ever
 exchanged between nodes.
 """
 
@@ -31,10 +32,6 @@ from .sim import EventLoop, Metrics, Trace
 
 
 class InvalidCuts(OonError):
-    pass
-
-
-class HopLimitExceeded(OonError):
     pass
 
 
@@ -100,6 +97,7 @@ class PartitionMap:
     dim_cuts: tuple     # per defining attribute, sorted boundary keys
     dims: tuple         # per-attribute segment counts
     assignment: dict    # coordinate -> node id
+    routes: dict        # entry node id -> owner node id -> node path from entry
 
     def cell_of_key(self, key: tuple) -> tuple:
         return tuple(bisect_right(cuts, k) for cuts, k in zip(self.dim_cuts, key))
@@ -108,14 +106,17 @@ class PartitionMap:
         return self.cell_of_key(iname_key(self.cls, iname))
 
     def max_hops(self) -> int:
-        """Greedy forwarding never needs more hops than this."""
+        """Forwarding from an entry that owns a cell never needs more hops
+        than this grid diameter; from an entry that owns none it takes one."""
         return sum(n - 1 for n in self.dims)
 
 
 def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     """Create the partition map and its relay nodes.
 
-    Cells are assigned round-robin in row-major order.
+    Cells are assigned round-robin in row-major order.  Nodes owning
+    grid-adjacent cells are neighbours; each entry's routes follow its
+    breadth-first tree, visiting neighbours in id order.
     """
     if irn_count < 1:
         raise ValueError("irn_count must be >= 1")
@@ -132,7 +133,26 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     assignment = {}
     for idx, coord in enumerate(itertools.product(*(range(n) for n in dims))):
         assignment[coord] = idx % irn_count
-    pmap = PartitionMap(cls, tuple(dim_cuts), dims, assignment)
+    owners = set(assignment.values())
+    # a node that owns no cell has no grid position and reaches every owner
+    # in one hop; no owner routes through it
+    adjacent = {nid: set() if nid in owners else owners for nid in range(irn_count)}
+    for cell, nid in assignment.items():
+        for d, n in enumerate(dims):
+            if cell[d] + 1 < n:
+                other = assignment[cell[:d] + (cell[d] + 1,) + cell[d + 1:]]
+                adjacent[nid].add(other)
+                adjacent[other].add(nid)
+    routes = {}
+    for entry in range(irn_count):
+        paths, order = {entry: (entry,)}, [entry]
+        for nid in order:  # breadth-first: order grows while it is walked
+            for other in sorted(adjacent[nid]):
+                if other not in paths:
+                    paths[other] = paths[nid] + (other,)
+                    order.append(other)
+        routes[entry] = paths
+    pmap = PartitionMap(cls, tuple(dim_cuts), dims, assignment, routes)
 
     nodes = [IRNNode(i) for i in range(irn_count)]
     for coord, nid in assignment.items():
@@ -170,7 +190,6 @@ class XFindMessage:
     requester: Requester
     targets: frozenset           # grid coordinates still to serve
     path: tuple = ()             # node ids visited before the current one
-    hop_limit: int = 64
 
 
 @dataclass(frozen=True)
@@ -178,7 +197,6 @@ class ResultsMessage:
     request_id: int
     responder: int
     reverse_path: tuple          # remaining hops back to the origin
-    forward_path: tuple          # full path the xfind took (instrumentation)
     forms: tuple = ()
     ack: Optional[bool] = None
     detail: str = ""
@@ -191,33 +209,23 @@ def check_access(form: InformationalForm, requester: Requester, action: str) -> 
 
 
 def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> list:
-    """Greedy split of non-local targets over grid neighbors.
+    """Split the non-local targets by the next node on the entry's tree.
 
-    Each target is routed via the first dimension with a nonzero delta from
-    the node's nearest owned cell, so the grid distance strictly decreases
-    every hop.  A node that owns no cell (more nodes than cells) has no grid
-    position and hands each target straight to its owner.  Targets sharing
-    a next hop are batched.
+    The entry is the first node on the request's path, or this node when
+    the path is empty.  This node sits at depth ``len(msg.path)`` on the
+    entry's route to each target's owner, so the next hop is the route's
+    following node.  Targets sharing a next hop are batched.
     """
-    remaining = [t for t in sorted(targets) if t not in node.owned]
-    if not remaining:
-        return []
-    if msg.hop_limit <= 0:
-        raise HopLimitExceeded(f"request {msg.request_id} out of hops at node {node.irn_id}")
-    owned = sorted(node.owned)
+    routes = pmap.routes[msg.path[0] if msg.path else node.irn_id]
+    step = len(msg.path) + 1
     groups = {}
-    for t in remaining:
-        step = t
-        if owned:
-            cell = min(owned, key=lambda c: sum(abs(a - b) for a, b in zip(c, t)))
-            d = next(d for d in range(len(cell)) if cell[d] != t[d])
-            step = cell[:d] + (cell[d] + (1 if t[d] > cell[d] else -1),) + cell[d + 1:]
-        groups.setdefault(pmap.assignment[step], set()).add(t)
+    for t in targets:
+        groups.setdefault(routes[pmap.assignment[t]][step], set()).add(t)
     return [(nid, frozenset(groups[nid])) for nid in sorted(groups)]
 
 
 def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
-    """Serve the locally owned targets and split the rest over neighbors.
+    """Serve the locally owned targets and split the rest over tree children.
 
     Returns (results message or None, list of forwarded messages).
     """
@@ -262,10 +270,7 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
                     results = _results(node, msg, ack=False, detail="NotFound")
     forwards = []
     for nid, sub in next_hops(node, pmap, msg, msg.targets - node.owned):
-        forwards.append((nid, replace(msg,
-                                      targets=sub,
-                                      path=msg.path + (node.irn_id,),
-                                      hop_limit=msg.hop_limit - 1)))
+        forwards.append((nid, replace(msg, targets=sub, path=msg.path + (node.irn_id,))))
     return results, forwards
 
 
@@ -274,7 +279,6 @@ def _results(node, msg, forms=(), ack=None, detail=""):
         request_id=msg.request_id,
         responder=node.irn_id,
         reverse_path=tuple(reversed(msg.path)),
-        forward_path=msg.path + (node.irn_id,),
         forms=forms,
         ack=ack,
         detail=detail,
@@ -294,7 +298,7 @@ class RequestState:
     forms: list = field(default_factory=list)
     ack: Optional[bool] = None
     detail: str = ""
-    status: str = "pending"      # pending | complete | timeout | failed
+    status: str = "pending"      # pending | complete | timeout
     completed_at: Optional[int] = None
     deadline_handle: Optional[tuple] = None
 
@@ -314,7 +318,7 @@ class InfoNetwork:
 
     def __init__(self, cls: ObjectClass, cuts: SegmentCuts, irn_count: int,
                  loop: EventLoop, trace: Trace, metrics: Metrics,
-                 latency: int = 1, deadline: int = 1000, hop_limit: int = 64):
+                 latency: int = 1, deadline: int = 1000):
         self.cls = cls
         self.pmap, self.nodes = build_partition_map(cls, cuts, irn_count)
         self.loop = loop
@@ -322,7 +326,6 @@ class InfoNetwork:
         self.metrics = metrics
         self.latency = latency
         self.deadline = deadline
-        self.hop_limit = hop_limit
         self.requests = {}
         self._next_request = 1
         for node in self.nodes:
@@ -337,6 +340,8 @@ class InfoNetwork:
     def issue_request(self, entry: int, action: Action, payload,
                       requester: Requester) -> int:
         """Validate, register expected-response accounting, send the xfind."""
+        if not 0 <= entry < len(self.nodes):
+            raise OonError(f"entry node {entry} outside 0..{len(self.nodes) - 1}")
         if action is Action.FIND:
             if not isinstance(payload, Query):
                 raise InvalidPayload("find expects a query")
@@ -358,7 +363,7 @@ class InfoNetwork:
             return rid
         msg = XFindMessage(
             request_id=rid, action=action, payload=payload, requester=requester,
-            targets=targets, hop_limit=self.hop_limit)
+            targets=targets)
         self.metrics.sent["xfind"] += 1
         self.loop.post(0, self._target(entry), msg)
         rec.deadline_handle = self.loop.post(self.deadline, self._target(entry),
@@ -383,16 +388,9 @@ class InfoNetwork:
     def _on_xfind(self, node: IRNNode, msg: XFindMessage) -> None:
         self.trace.log(f"XFIND {msg.action.value} req={msg.request_id} "
                        f"at=irn{node.irn_id} targets={_fmt_cells(msg.targets)}")
-        try:
-            results, forwards = handle_xfind(node, self.pmap, msg)
-        except HopLimitExceeded:
-            self.metrics.dropped["xfind"] += 1
-            self.metrics.drops_by_cause["hop_limit"] += 1
-            results = _results(node, msg, ack=False, detail="hop_limit_exceeded")
-            forwards = []
-        else:
-            self.metrics.delivered["xfind"] += 1
-            self.metrics.xfind_hops.append(len(msg.path))
+        results, forwards = handle_xfind(node, self.pmap, msg)
+        self.metrics.delivered["xfind"] += 1
+        self.metrics.xfind_hops.append(len(msg.path))
         if results is not None:
             self.metrics.sent["results"] += 1
             self._on_results(node, results)
@@ -417,13 +415,6 @@ class InfoNetwork:
     def gather_results(self, rmsg: ResultsMessage) -> RequestState:
         """Fold one results message into its request; dedupes per responder."""
         rec = self.request(rmsg.request_id)
-        if rmsg.detail == "hop_limit_exceeded":
-            if rec.status == "pending":
-                rec.status = "failed"
-                rec.detail = rmsg.detail
-                rec.completed_at = self.loop.now
-                self._cancel_deadline(rec)
-            return rec
         if rmsg.responder in rec.responded:
             return rec
         rec.responded.add(rmsg.responder)
@@ -434,13 +425,8 @@ class InfoNetwork:
         if rec.status == "pending" and rec.responded >= rec.expected:
             rec.status = "complete"
             rec.completed_at = self.loop.now
-            self._cancel_deadline(rec)
-        return rec
-
-    def _cancel_deadline(self, rec: RequestState) -> None:
-        if rec.deadline_handle is not None:
             self.loop.cancel(rec.deadline_handle)
-            rec.deadline_handle = None
+        return rec
 
     def _on_deadline(self, rid: int) -> None:
         rec = self.requests.get(rid)

@@ -136,6 +136,7 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
     by_name = {c.class_name: c for c in classes}
 
     partitions = []
+    irns = {}                     # class name -> relay node count
     for i, p in enumerate(raw.get("partitions", [])):
         where = f"partitions[{i}]"
         cname = p.get("class")
@@ -146,7 +147,8 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
             if not cls.declares(attr):
                 raise ValidationError(f"{where}.cuts",
                                       f"attribute {attr!r} not declared by {cname!r}")
-        partitions.append((cname, dict(p.get("cuts", {})), int(p.get("irn_count", 1))))
+        irns[cname] = int(p.get("irn_count", 1))
+        partitions.append((cname, dict(p.get("cuts", {})), irns[cname]))
 
     domains = list(raw.get("domains", []))
     links = []
@@ -158,26 +160,24 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
                 raise ValidationError(f"links[{i}]", f"unknown domain {end!r}")
         links.append((a, b, latency))
 
-    objects = []
-    seen_ids = set()
+    objects = {}                  # object id -> ObjectSpec
     for i, o in enumerate(raw.get("objects", [])):
         where = f"objects[{i}]"
         if o.get("class") not in by_name:
             raise ValidationError(where, f"unknown class {o.get('class')!r}")
         if o.get("domain") not in domains:
             raise ValidationError(where, f"unknown domain {o.get('domain')!r}")
-        if o["id"] in seen_ids:
+        if o["id"] in objects:
             raise ValidationError(where, f"duplicate object id {o['id']!r}")
-        seen_ids.add(o["id"])
         cls = by_name[o["class"]]
         for name in cls.defining_names:
             if name not in o.get("values", {}):
                 raise ValidationError(f"{where}.values",
                                       f"missing defining attribute {name!r}")
-        objects.append(ObjectSpec(
+        objects[o["id"]] = ObjectSpec(
             obj_id=o["id"], class_name=o["class"], values=dict(o["values"]),
             domain=o["domain"], policy=_parse_policy(o.get("policy"), where),
-            entry_irn=int(o.get("entry_irn", 0))))
+            entry_irn=int(o.get("entry_irn", 0)))
 
     script = []
     known_actions = {"publish", "discover", "pull", "push", "interactive",
@@ -188,12 +188,17 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
         if action not in known_actions:
             raise ValidationError(where, f"unknown action {action!r}")
         for key in ("object", "consumer", "producer", "a", "b"):
-            if key in step and step[key] not in seen_ids:
+            if key in step and step[key] not in objects:
                 raise ValidationError(where, f"unknown object {step[key]!r}")
+        if action == "publish" and "object" in step:
+            spec = objects[step["object"]]
+            _check_entry(irns, spec.class_name, spec.entry_irn,
+                         f"{where} (object {spec.obj_id!r})")
         if action == "discover":
             cname = step.get("class")
             if cname not in by_name:
                 raise ValidationError(where, f"unknown class {cname!r}")
+            _check_entry(irns, cname, int(step.get("entry", 0)), where)
             parse_query(step.get("query", {}), by_name[cname], f"{where}.query")
         if action == "migrate" and step.get("to") not in domains:
             raise ValidationError(where, f"unknown domain {step.get('to')!r}")
@@ -205,7 +210,15 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
         info_latency=int(raw.get("info_latency", 1)),
         deadline=int(raw.get("deadline", 1000)),
         classes=classes, partitions=partitions, domains=domains,
-        links=links, objects=objects, script=script, source=source)
+        links=links, objects=list(objects.values()), script=script, source=source)
+
+
+def _check_entry(irns: dict, cname: str, entry: int, where: str) -> None:
+    """A request of class cname can enter only at one of its relay nodes."""
+    if cname not in irns:
+        raise ValidationError(where, f"class {cname!r} has no partition")
+    if not 0 <= entry < irns[cname]:
+        raise ValidationError(where, f"entry {entry} is not a relay node of {cname!r}")
 
 
 # --- world construction and the script runner --------------------------------

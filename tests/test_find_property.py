@@ -4,7 +4,9 @@ The reference is written here from the predicate definitions (``==``,
 ``str.startswith`` and ordered comparison of normalized keys), not from
 ``predicate_interval``, so it checks the one predicate definition that
 matching and location share.  Cuts are random, and the relay-node count
-runs from 1 to more than the number of cells.
+runs from 1 to more than the number of cells.  The same finds check the
+forwarding: each relay node serves a request at most once, every node
+the request awaits responds, and hops stay within the grid's bound.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -126,6 +128,9 @@ def reference_match(pred, raw, kind) -> bool:
 # An empty exclusive range on a cut locates no cell at all.
 @example(({"name": ["s"], "rank": []}, 1, [{"name": "s", "rank": 0}],
           (("name", Range("S", "S", inclusive=False)),), 0))
+# Six cells over three nodes, where a walk over the cell grid reached
+# one node twice.
+@example(({"name": ["a", "s"], "rank": ["00000000000000000000"]}, 3, [], (), 0))
 def test_networked_find_equals_reference(case):
     cuts, irn_count, rows, preds, entry = case
     net = make_info(ITEM, cuts, irn_count)
@@ -137,6 +142,7 @@ def test_networked_find_equals_reference(case):
         if net.request(rid).detail == "Registered":
             stored.append(form)
     query = Query("item", preds)
+    hops_before = len(net.metrics.xfind_hops)
     rid = net.issue_request(entry, Action.FIND, query, REQ)
     net.loop.run()
     request = net.request(rid)
@@ -145,3 +151,10 @@ def test_networked_find_equals_reference(case):
     assert request.status == "complete"
     assert result_keys(request.forms, ITEM) == result_keys(want, ITEM)
     assert len(request.forms) == len(want)
+
+    visits = [line.split(" at=")[1].split()[0] for line in net.trace.lines
+              if f" XFIND find req={rid} " in line]
+    assert len(visits) == len(set(visits))
+    assert request.responded == request.expected
+    bound = net.pmap.max_hops() if net.nodes[entry].owned else 1
+    assert max(net.metrics.xfind_hops[hops_before:], default=0) <= bound

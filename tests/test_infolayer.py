@@ -31,18 +31,17 @@ from oonsim.infolayer import (
     WrongOwner,
     XFindMessage,
 )
-from oonsim.model import AccessPolicy, Rule
+from oonsim.model import AccessPolicy, OonError, Rule
 
 from conftest import BOOK, make_info
 
 REQ = Requester("person")
 
 
-def _msg(action, payload, targets, path=(), hop_limit=64, rid=1):
+def _msg(action, payload, targets, path=(), rid=1):
     return XFindMessage(request_id=rid, action=action, payload=payload,
                         requester=REQ,
-                        targets=frozenset(targets), path=tuple(path),
-                        hop_limit=hop_limit)
+                        targets=frozenset(targets), path=tuple(path))
 
 
 class TestPartitionMap:
@@ -133,36 +132,14 @@ class TestNextHops:
         assert hops == [(1, frozenset({(3,)}))]
 
     def test_two_by_two_fanout_batches(self):
-        # from the (0,0) owner, the greedy split enumerated by hand:
-        # (0,1) one hop right, (1,0) and (1,1) batched behind the first
-        # dimension's neighbor -- at most two forwards
+        # from the (0,0) owner, the breadth-first tree enumerated by hand:
+        # irn1 (0,1) and irn2 (1,0) are its neighbours in id order, and
+        # irn3 (1,1) hangs below irn1 -- two forwards
         pmap, nodes = build_partition_map(
             BOOK, SegmentCuts({"title": ["n"], "author": ["n"]}), 4)
         msg = _msg(Action.FIND, Query("book", {}), set(pmap.assignment))
         hops = next_hops(nodes[0], pmap, msg, set(pmap.assignment) - nodes[0].owned)
-        assert len(hops) <= 2
-        covered = set().union(*(sub for _, sub in hops))
-        assert covered == {(0, 1), (1, 0), (1, 1)}
-
-    def test_greedy_strictly_decreases_distance(self):
-        rng = random.Random(30)
-        cls = ObjectClass("pair", (("a", AttributeKind.TEXT), ("b", AttributeKind.TEXT)))
-        for _ in range(20):
-            cuts = SegmentCuts({
-                "a": sorted(rng.sample("bcdefghijklmnopqrstuvwxy", rng.randint(1, 4))),
-                "b": sorted(rng.sample("bcdefghijklmnopqrstuvwxy", rng.randint(1, 4))),
-            })
-            pmap, nodes = build_partition_map(cls, cuts, rng.randint(1, 6))
-            node = rng.choice(nodes)
-            targets = set(rng.sample(sorted(pmap.assignment), 3))
-            msg = _msg(Action.FIND, Query("pair", {}), targets)
-
-            def dist(n, t):
-                return min(sum(abs(x - y) for x, y in zip(c, t)) for c in n.owned)
-
-            for nid, sub in next_hops(node, pmap, msg, targets - node.owned):
-                for t in sub:
-                    assert dist(nodes[nid], t) < dist(node, t)
+        assert hops == [(1, frozenset({(0, 1), (1, 1)})), (2, frozenset({(1, 0)}))]
 
 
 class TestHandleXfind:
@@ -232,7 +209,6 @@ class TestHandleXfind:
         msg = _msg(Action.REGISTER, form, [cell], path=(3, 2, 1))
         results, _ = handle_xfind(node, self.pmap, msg)
         assert results.reverse_path == (1, 2, 3)
-        assert results.forward_path == (3, 2, 1, node.irn_id)
 
 
 class TestRequestLifecycle:
@@ -275,16 +251,14 @@ class TestRequestLifecycle:
             Query("book", {"title": Eq("dune"), "author": Eq("herbert")}), REQ)
         rec = net.request(rid)
         assert rec.status == "pending"
-        net.gather_results(ResultsMessage(request_id=rid, responder=99,
-                                          reverse_path=(), forward_path=(0, 99)))
+        net.gather_results(ResultsMessage(request_id=rid, responder=99, reverse_path=()))
         assert rec.status == "pending"  # 99 is not the expected owner
 
     def test_duplicate_results_ignored(self):
         net = make_info()
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
         form = make_form(BOOK, {"title": "dune", "author": "herbert"})
-        dup = ResultsMessage(request_id=rid, responder=1, reverse_path=(),
-                             forward_path=(0, 1), forms=(form,))
+        dup = ResultsMessage(request_id=rid, responder=1, reverse_path=(), forms=(form,))
         net.gather_results(dup)
         net.gather_results(dup)
         assert len(net.request(rid).forms) == 1
@@ -292,12 +266,18 @@ class TestRequestLifecycle:
     def test_deadline_marks_timeout_with_partial_results(self):
         net = make_info(deadline=10)
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
-        net.gather_results(ResultsMessage(request_id=rid, responder=0,
-                                          reverse_path=(), forward_path=(0,)))
+        net.gather_results(ResultsMessage(request_id=rid, responder=0, reverse_path=()))
         net._on_deadline(rid)
         rec = net.request(rid)
         assert rec.status == "timeout"
         assert rec.responded == {0}
+
+    @pytest.mark.parametrize("entry", [4, -1])
+    def test_entry_outside_relay_nodes_rejected(self, entry):
+        net = make_info()
+        with pytest.raises(OonError):
+            net.issue_request(entry, Action.FIND, Query("book", {}), REQ)
+        assert net.requests == {} and net.loop.run() == 0
 
     def test_unknown_request_rejected(self):
         net = make_info()
@@ -372,6 +352,21 @@ class TestNetworkProperties:
             net.issue_request(entry, Action.FIND, Query("book", {}), REQ)
             net.loop.run()
         assert max(net.metrics.xfind_hops) <= net.pmap.max_hops()
+
+    def test_eighty_node_line_completes(self):
+        # 80 segments over 80 nodes: the last node is max_hops() == 79 hops
+        # from entry 0, further than any fixed 64-hop limit would allow
+        line = ObjectClass("tag", (("label", AttributeKind.TEXT),))
+        net = make_info(line, {"label": [f"{i:02d}" for i in range(1, 80)]}, 80)
+        form = make_form(line, {"label": "99"})
+        reg = net.issue_request(0, Action.REGISTER, form, REQ)
+        net.loop.run()
+        find = net.issue_request(0, Action.FIND, Query("tag", {}), REQ)
+        net.loop.run()
+        assert net.request(reg).detail == "Registered"
+        assert net.request(find).status == "complete"
+        assert net.request(find).forms == [form]
+        assert max(net.metrics.xfind_hops) == net.pmap.max_hops() == 79
 
     def test_message_conservation(self):
         net = make_info()

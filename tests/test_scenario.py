@@ -86,6 +86,38 @@ class TestParsing:
             parse_scenario(raw)
         assert "author" in str(exc.value)
 
+    @pytest.mark.parametrize("entry", [4, -1])
+    def test_discover_entry_outside_relay_nodes(self, entry):
+        raw = golden_raw()
+        raw["script"][6]["entry"] = entry  # a book find; book has 4 relay nodes
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert "script[6]" in str(exc.value)
+
+    @pytest.mark.parametrize("entry_irn", [4, -1])
+    def test_object_entry_irn_outside_relay_nodes(self, entry_irn):
+        raw = golden_raw()
+        raw["objects"][0]["entry_irn"] = entry_irn  # b1, a book, published first
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert "script[0]" in str(exc.value) and "b1" in str(exc.value)
+
+    def test_publish_without_partition(self):
+        raw = golden_raw()
+        raw["partitions"] = [p for p in raw["partitions"] if p["class"] != "reader"]
+        raw["script"] = [{"action": "publish", "object": "r1"}]
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert "script[0]" in str(exc.value) and "r1" in str(exc.value)
+
+    def test_discover_without_partition(self):
+        raw = golden_raw()
+        raw["partitions"] = [p for p in raw["partitions"] if p["class"] != "reader"]
+        raw["script"] = [{"action": "discover", "class": "reader", "query": {}}]
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert "script[0]" in str(exc.value) and "reader" in str(exc.value)
+
     def test_query_predicates(self):
         q = parse_query({"title": {"prefix": "fo"}, "author": "any",
                          "pages": {"range": [10, 20]}}, BOOK)
