@@ -1,8 +1,8 @@
 """Look inside the discovery grid: cells, ownership and tree forwarding.
 
 Shows how a class's namespace is cut into lexicographic segments, which
-relay node owns which grid cell, where a query must travel, the route an
-entry node's breadth-first tree gives to every other node, and that the
+relay node owns which grid cell, where a query must travel, the parent
+of every other node on an entry node's breadth-first tree, and that the
 observed hop counts respect the analytic bound with zero routing state
 exchanged.
 """
@@ -36,7 +36,7 @@ def main():
           f"analytic hop bound {pmap.max_hops()}")
     for node in nodes:
         print(f"  irn{node.irn_id} owns {sorted(node.owned)}, "
-              f"routes {sorted(pmap.routes[node.irn_id].values())}")
+              f"tree parents {pmap.routes[node.irn_id]}")
 
     print("\n== where queries go ==")
     for q in (Query("track", {"artist": Eq("coltrane"), "title": Eq("naima")}),

@@ -15,14 +15,6 @@ from .model import AccessPolicy, OonError, PName, format_pname
 from .sim import EventLoop, Metrics, Trace
 
 
-class NoRoute(OonError):
-    pass
-
-
-class NoSuchLocal(OonError):
-    pass
-
-
 class UnknownInterface(OonError):
     pass
 
@@ -180,12 +172,10 @@ def update_fib(domain: Domain, global_id: int, interface: str) -> None:
 class DataNetwork:
     """Domains, links and the message plumbing over the shared event loop."""
 
-    def __init__(self, loop: EventLoop, trace: Trace, metrics: Metrics,
-                 resolver=None):
+    def __init__(self, loop: EventLoop, trace: Trace, metrics: Metrics):
         self.loop = loop
         self.trace = trace
         self.metrics = metrics
-        self.resolver = resolver    # PName -> requester class name, for policies
         self.domains = {}
         self.deliveries = []        # (tick, summary, visited) per delivered msg
         self._host_index = {}       # PName -> domain name
@@ -287,7 +277,8 @@ class DataNetwork:
 
     def _deliver(self, domain: Domain, host: ObjectHost, msg: DataMessage) -> None:
         if host.policy is not None:
-            requester_class = self.resolver(msg.caller) if self.resolver else None
+            caller = self.host_of(msg.caller)
+            requester_class = caller.class_name if caller is not None else None
             if not host.policy.exchange_rule.allows(requester_class):
                 self._drop("exchange_denied")
                 return

@@ -97,7 +97,7 @@ class PartitionMap:
     dim_cuts: tuple     # per defining attribute, sorted boundary keys
     dims: tuple         # per-attribute segment counts
     assignment: dict    # coordinate -> node id
-    routes: dict        # entry node id -> owner node id -> node path from entry
+    routes: dict        # entry node id -> node id -> its parent on the entry's tree
 
     def cell_of_key(self, key: tuple) -> tuple:
         return tuple(bisect_right(cuts, k) for cuts, k in zip(self.dim_cuts, key))
@@ -115,8 +115,8 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     """Create the partition map and its relay nodes.
 
     Cells are assigned round-robin in row-major order.  Nodes owning
-    grid-adjacent cells are neighbours; each entry's routes follow its
-    breadth-first tree, visiting neighbours in id order.
+    grid-adjacent cells are neighbours; each entry's routes are the parent
+    pointers of its breadth-first tree, visiting neighbours in id order.
     """
     if irn_count < 1:
         raise ValueError("irn_count must be >= 1")
@@ -145,13 +145,13 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
                 adjacent[other].add(nid)
     routes = {}
     for entry in range(irn_count):
-        paths, order = {entry: (entry,)}, [entry]
+        parent, order = {entry: None}, [entry]
         for nid in order:  # breadth-first: order grows while it is walked
             for other in sorted(adjacent[nid]):
-                if other not in paths:
-                    paths[other] = paths[nid] + (other,)
+                if other not in parent:
+                    parent[other] = nid
                     order.append(other)
-        routes[entry] = paths
+        routes[entry] = parent
     pmap = PartitionMap(cls, tuple(dim_cuts), dims, assignment, routes)
 
     nodes = [IRNNode(i) for i in range(irn_count)]
@@ -212,15 +212,17 @@ def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> 
     """Split the non-local targets by the next node on the entry's tree.
 
     The entry is the first node on the request's path, or this node when
-    the path is empty.  This node sits at depth ``len(msg.path)`` on the
-    entry's route to each target's owner, so the next hop is the route's
-    following node.  Targets sharing a next hop are batched.
+    the path is empty.  Each target's owner lies below this node on the
+    entry's tree, so climbing the owner's parent pointers reaches the
+    child of this node it hangs under.  Targets sharing a child are batched.
     """
-    routes = pmap.routes[msg.path[0] if msg.path else node.irn_id]
-    step = len(msg.path) + 1
+    parent = pmap.routes[msg.path[0] if msg.path else node.irn_id]
     groups = {}
     for t in targets:
-        groups.setdefault(routes[pmap.assignment[t]][step], set()).add(t)
+        nid = pmap.assignment[t]
+        while parent[nid] != node.irn_id:
+            nid = parent[nid]
+        groups.setdefault(nid, set()).add(t)
     return [(nid, frozenset(groups[nid])) for nid in sorted(groups)]
 
 
@@ -239,7 +241,6 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
             for key in sorted(node.store):
                 form = node.store[key]
                 if eval_query(msg.payload, form, cls) and check_access(form, msg.requester, "view"):
-                    form.management["hits"] = form.management.get("hits", 0) + 1
                     matched.append(form)
             results = _results(node, msg, forms=tuple(matched))
         else:
@@ -291,7 +292,6 @@ def _results(node, msg, forms=(), ack=None, detail=""):
 @dataclass
 class RequestState:
     request_id: int
-    action: Action
     expected: frozenset          # node ids that must respond
     issued_at: int
     responded: set = field(default_factory=set)
@@ -356,7 +356,7 @@ class InfoNetwork:
         expected = frozenset(self.pmap.assignment[c] for c in targets)
         rid = self._next_request
         self._next_request += 1
-        rec = RequestState(rid, action, expected, self.loop.now)
+        rec = RequestState(rid, expected, self.loop.now)
         self.requests[rid] = rec
         if not expected:  # an empty key interval: no cell can hold a match
             rec.status, rec.completed_at = "complete", self.loop.now

@@ -68,7 +68,6 @@ class _Record:
     pname: Optional[PName] = None
     host: Optional[ObjectHost] = None
     form: Optional[InformationalForm] = None
-    published: bool = False
 
 
 @dataclass
@@ -87,23 +86,17 @@ class AuditReport:
 class World:
     """One simulation universe: naming, both layers, object registry."""
 
-    def __init__(self, pname_assigner: str = "data_domain",
-                 info_latency: int = 1, deadline: int = 1000):
-        if pname_assigner not in ("data_domain", "info_domain"):
-            raise ValueError(f"bad pname_assigner {pname_assigner!r}")
-        self.pname_assigner = pname_assigner
+    def __init__(self, info_latency: int = 1, deadline: int = 1000):
         self.info_latency = info_latency
         self.deadline = deadline
         self.loop = EventLoop()
         self.trace = Trace(self.loop)
         self.metrics = Metrics()
         self.authority = Authority()
-        self.datanet = DataNetwork(self.loop, self.trace, self.metrics,
-                                   resolver=self._class_of)
+        self.datanet = DataNetwork(self.loop, self.trace, self.metrics)
         self.classes = {}
         self.info = {}               # class name -> InfoNetwork
         self.registry = {}           # obj id -> _Record
-        self._by_pname = {}          # PName -> class name
         self._allocators = {}        # domain name -> LocalAllocator
         self._installed = {}         # global id -> owner domain
 
@@ -114,8 +107,7 @@ class World:
 
     def add_domain(self, name: str) -> None:
         self.datanet.add_domain(name)
-        authority_key = "info-layer" if self.pname_assigner == "info_domain" else name
-        self._allocators[name] = self.authority.new_allocator(authority_key)
+        self._allocators[name] = self.authority.new_allocator(name)
 
     def connect_domains(self, a: str, b: str, latency: int = 1) -> None:
         self.datanet.link(a, b, latency)
@@ -153,7 +145,6 @@ class World:
         host = ObjectHost(pname, spec.class_name, cls.methods, spec.policy)
         self.datanet.add_host(rec.domain, host)
         self._route(pname.global_id, rec.domain)
-        self._by_pname[pname] = spec.class_name
         rec.pname, rec.host = pname, host
         return host, pname
 
@@ -181,18 +172,15 @@ class World:
         else:
             raise ValueError(f"bad publish order {order!r}")
         form = make_form(cls, spec.values, policy=spec.policy,
-                         relationship=relationship,
-                         management={"published_at": self.loop.now, "hits": 0})
+                         relationship=relationship)
         detail = self._action(spec, Action.REGISTER, form)
         if detail != "Registered":
             raise AlreadyPublished(f"{obj_id!r}: {detail}")
         rec.form = form
-        rec.published = True
         if order == "top_down":
             self.instantiate(obj_id)
             updated = make_form(cls, spec.values, policy=spec.policy,
-                                relationship=[rec.pname],
-                                management=form.management)
+                                relationship=[rec.pname])
             detail = self._action(spec, Action.MODIFY, updated)
             if detail != "Modified":
                 raise OonError(f"pointer fill-in for {obj_id!r} failed: {detail}")
@@ -231,15 +219,13 @@ class World:
         host = self.datanet.remove_host(rec.pname)
         self.datanet.add_host(to_domain, host)
         rec.domain = to_domain
-        self.datanet.install_routes(rec.pname.global_id, to_domain)
-        self._installed[rec.pname.global_id] = to_domain
+        self._route(rec.pname.global_id, to_domain)
 
     def delete(self, obj_id: str) -> None:
         """Tear down info-first so no dangling-pointer window opens."""
         rec = self.record(obj_id)
-        if rec.published:
+        if rec.form is not None:
             self._action(rec.spec, Action.DELETE, rec.form)
-            rec.published = False
             rec.form = None
         if rec.host is not None:
             self.datanet.remove_host(rec.pname)
@@ -297,9 +283,6 @@ class World:
         return run_interactive(self.datanet, rec.host, b, turns)
 
     # -- bookkeeping ----------------------------------------------------------
-
-    def _class_of(self, pname: PName) -> Optional[str]:
-        return self._by_pname.get(pname)
 
     def finalize_metrics(self) -> Metrics:
         """Snapshot end-of-run gauge values into the metrics object."""

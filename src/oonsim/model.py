@@ -228,13 +228,12 @@ class InformationalForm:
     """Class-instantiated view of an object.
 
     Description attributes carry the characteristics (including the
-    defining attributes), management attributes the bookkeeping, and the
-    relationship list points to the physical forms.
+    defining attributes), the relationship list points to the physical
+    forms, and the methods are the object's advertised interface.
     """
 
     iname: IName
     description: dict
-    management: dict = field(default_factory=dict)
     relationship: list = field(default_factory=list)
     methods: tuple = ()
     policy: AccessPolicy = OPEN_POLICY
@@ -286,13 +285,12 @@ def iname_key(cls: ObjectClass, iname: IName) -> tuple:
 
 
 def make_form(cls: ObjectClass, values: dict, policy: AccessPolicy = OPEN_POLICY,
-              relationship=(), management=None) -> InformationalForm:
+              relationship=()) -> InformationalForm:
     """Build a form from raw attribute values; convenience constructor."""
     iname = IName(cls.class_name, tuple(values[n] for n in cls.defining_names))
     return InformationalForm(
         iname=iname,
         description=dict(values),
-        management=dict(management or {}),
         relationship=list(relationship),
         methods=cls.methods,
         policy=policy,

@@ -46,7 +46,6 @@ class ScenarioParseError(OonError):
 @dataclass
 class Scenario:
     seed: int
-    pname_assigner: str
     info_latency: int
     deadline: int
     classes: list                 # ObjectClass
@@ -55,7 +54,6 @@ class Scenario:
     links: list                   # (a, b, latency)
     objects: list                 # ObjectSpec
     script: list                  # raw step dicts
-    source: Optional[str] = None
 
 
 @dataclass
@@ -69,6 +67,23 @@ class RunResult:
 
 
 # --- parsing -----------------------------------------------------------------
+
+# Script action -> the object keys its step must name.
+_STEP_OBJECTS = {
+    "publish": ("object",), "migrate": ("object",), "delete": ("object",),
+    "drop_host": ("object",), "pull": ("consumer", "producer"),
+    "push": ("producer", "consumer"), "interactive": ("a", "b"),
+    "discover": (), "audit": (),
+}
+
+
+def _int(value, where: str, minimum: Optional[int] = None) -> int:
+    """A JSON integer, no smaller than minimum when one is given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(where, f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(where, f"{value} is below the minimum {minimum}")
+    return value
 
 
 def _parse_policy(raw, where: str) -> AccessPolicy:
@@ -116,10 +131,10 @@ def load_scenario(path: str) -> Scenario:
         except json.JSONDecodeError as exc:
             raise ScenarioParseError(
                 f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return parse_scenario(raw, source=path)
+    return parse_scenario(raw)
 
 
-def parse_scenario(raw: dict, source: str = None) -> Scenario:
+def parse_scenario(raw: dict) -> Scenario:
     classes = []
     for i, c in enumerate(raw.get("classes", [])):
         where = f"classes[{i}]"
@@ -147,14 +162,14 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
             if not cls.declares(attr):
                 raise ValidationError(f"{where}.cuts",
                                       f"attribute {attr!r} not declared by {cname!r}")
-        irns[cname] = int(p.get("irn_count", 1))
+        irns[cname] = _int(p.get("irn_count", 1), f"{where}.irn_count", 1)
         partitions.append((cname, dict(p.get("cuts", {})), irns[cname]))
 
     domains = list(raw.get("domains", []))
     links = []
     for i, l in enumerate(raw.get("links", [])):
         a, b = l[0], l[1]
-        latency = l[2] if len(l) > 2 else 1
+        latency = _int(l[2], f"links[{i}]", 1) if len(l) > 2 else 1
         for end in (a, b):
             if end not in domains:
                 raise ValidationError(f"links[{i}]", f"unknown domain {end!r}")
@@ -180,17 +195,22 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
             entry_irn=int(o.get("entry_irn", 0)))
 
     script = []
-    known_actions = {"publish", "discover", "pull", "push", "interactive",
-                     "migrate", "delete", "drop_host", "audit"}
     for i, step in enumerate(raw.get("script", [])):
         where = f"script[{i}]"
         action = step.get("action")
-        if action not in known_actions:
+        if action not in _STEP_OBJECTS:
             raise ValidationError(where, f"unknown action {action!r}")
-        for key in ("object", "consumer", "producer", "a", "b"):
-            if key in step and step[key] not in objects:
+        for key in _STEP_OBJECTS[action]:
+            if key not in step:
+                raise ValidationError(where, f"{action} step names no {key!r}")
+            if step[key] not in objects:
                 raise ValidationError(where, f"unknown object {step[key]!r}")
-        if action == "publish" and "object" in step:
+        for key in ("chunks", "turns"):
+            if key in step:
+                _int(step[key], f"{where}.{key}")
+        if action == "publish":
+            if step.get("order", "bottom_up") not in ("bottom_up", "top_down"):
+                raise ValidationError(where, f"bad publish order {step['order']!r}")
             spec = objects[step["object"]]
             _check_entry(irns, spec.class_name, spec.entry_irn,
                          f"{where} (object {spec.obj_id!r})")
@@ -206,11 +226,10 @@ def parse_scenario(raw: dict, source: str = None) -> Scenario:
 
     return Scenario(
         seed=int(raw.get("seed", 0)),
-        pname_assigner=raw.get("pname_assigner", "data_domain"),
-        info_latency=int(raw.get("info_latency", 1)),
-        deadline=int(raw.get("deadline", 1000)),
+        info_latency=_int(raw.get("info_latency", 1), "info_latency", 0),
+        deadline=_int(raw.get("deadline", 1000), "deadline", 0),
         classes=classes, partitions=partitions, domains=domains,
-        links=links, objects=list(objects.values()), script=script, source=source)
+        links=links, objects=list(objects.values()), script=script)
 
 
 def _check_entry(irns: dict, cname: str, entry: int, where: str) -> None:
@@ -225,9 +244,7 @@ def _check_entry(irns: dict, cname: str, entry: int, where: str) -> None:
 
 
 def build_world(scenario: Scenario) -> World:
-    world = World(pname_assigner=scenario.pname_assigner,
-                  info_latency=scenario.info_latency,
-                  deadline=scenario.deadline)
+    world = World(info_latency=scenario.info_latency, deadline=scenario.deadline)
     for cls in scenario.classes:
         world.add_class(cls)
     for name in scenario.domains:
@@ -284,13 +301,13 @@ def _run_session(world: World, step: dict):
     action = step["action"]
     if action == "pull":
         producer = world.record(step["producer"]).pname
-        return world.pull(step["consumer"], producer, int(step.get("chunks", 1)),
+        return world.pull(step["consumer"], producer, step.get("chunks", 1),
                           reply_to=step.get("reply_to", "SinkDataFrom"))
     if action == "push":
         consumer = world.record(step["consumer"]).pname
-        return world.push(step["producer"], consumer, int(step.get("chunks", 1)))
+        return world.push(step["producer"], consumer, step.get("chunks", 1))
     producer_b = world.record(step["b"]).pname
-    return world.interactive(step["a"], producer_b, int(step.get("turns", 1)))
+    return world.interactive(step["a"], producer_b, step.get("turns", 1))
 
 
 # --- workload generation and the brute-force oracle --------------------------

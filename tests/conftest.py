@@ -41,10 +41,9 @@ def make_info(cls=BOOK, cuts=None, irn_count=4, **kw):
     return InfoNetwork(cls, cuts, irn_count, loop, trace, metrics, **kw)
 
 
-def make_datanet(domains=("d1", "d2", "d3"), links=(("d1", "d2", 1), ("d2", "d3", 1)),
-                 resolver=None):
+def make_datanet(domains=("d1", "d2", "d3"), links=(("d1", "d2", 1), ("d2", "d3", 1))):
     loop, trace, metrics = make_sim()
-    net = DataNetwork(loop, trace, metrics, resolver=resolver)
+    net = DataNetwork(loop, trace, metrics)
     for d in domains:
         net.add_domain(d)
     for a, b, latency in links:

@@ -162,7 +162,7 @@ class TestPush:
         assert st.messages_sent == 5
 
     def test_exchange_policy_denies_at_consumer(self):
-        net = make_datanet(resolver=lambda pn: "book")
+        net = make_datanet()
         producer = _host(1, 1)
         consumer = _host(2, 1, policy=AccessPolicy(exchange_rule=Rule("deny_all")))
         net.add_host("d1", producer)
@@ -236,6 +236,19 @@ class TestRoutingProperties:
                     reply_to_method=rng.choice(["SinkDataFrom", "Ingest"]),
                     payload=bytes(rng.randrange(256) for _ in range(8)))
                 assert route_data(domain, mutated) == want
+
+    def test_default_route_loop_ends_at_hop_limit(self):
+        net = make_datanet()
+        producer = _wire(net, [("d1", 1, 1)])[(1, 1)]
+        net.domain("d1").fib.default = "d2"
+        net.domain("d2").fib.default = "d1"
+        st = run_push(net, producer, PName(99, 1), 1)
+        assert st.outcome == "failed"
+        router_visits = [line for line in net.trace.lines if " DATA " in line]
+        assert len(router_visits) == 65
+        assert net.metrics.drops_by_cause == {"hop_limit": 1}
+        assert net.metrics.conservation_holds()
+        assert net.loop.now == 64
 
     def test_delivered_paths_are_loop_free(self):
         rng = random.Random(62)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oonsim import (
+    AccessPolicy,
     Eq,
     ObjectSpec,
     PName,
@@ -10,6 +11,7 @@ from oonsim import (
     Query,
     Range,
     World,
+    allow_classes,
     eval_query,
     iname_key,
     make_form,
@@ -49,15 +51,6 @@ class TestInstantiate:
         assert names[0].global_id == names[1].global_id
         assert names[2].global_id != names[0].global_id
         assert (names[0].local_id, names[1].local_id) == (1, 2)
-
-    def test_info_assigner_shares_one_authority_key(self):
-        w = make_world(pname_assigner="info_domain")
-        add_book(w, "a", "t1", "x", "d1")
-        add_book(w, "b", "t2", "x", "d3")
-        pa = w.instantiate("a")[1]
-        pb = w.instantiate("b")[1]
-        assert pa.global_id != pb.global_id
-        assert set(w.authority.allocations) == {"info-layer"}
 
     def test_host_reachable_after_instantiate(self):
         w = make_world()
@@ -236,6 +229,19 @@ class TestSessions:
         w = self._world_with_pair()
         st = w.interactive("p1", w.record("p2").pname, 3)
         assert (st.outcome, st.messages_sent) == ("completed", 6)
+
+    def test_exchange_rule_reads_the_callers_class(self):
+        w = self._world_with_pair()
+        only_persons = AccessPolicy(exchange_rule=allow_classes("person"))
+        w.add_object(ObjectSpec("p3", "person", {"name": "dave"}, "d2",
+                                policy=only_persons))
+        w.instantiate("p3")
+        target = w.record("p3").pname
+        assert w.push("p1", target, 2).outcome == "completed"
+        assert w.metrics.drops_by_cause["exchange_denied"] == 0
+        assert w.push("prod", target, 2).outcome == "failed"
+        assert w.metrics.drops_by_cause["exchange_denied"] == 2
+        assert w.metrics.conservation_holds()
 
     def test_session_requires_instantiation(self):
         w = self._world_with_pair()

@@ -118,6 +118,39 @@ class TestParsing:
             parse_scenario(raw)
         assert "script[0]" in str(exc.value) and "reader" in str(exc.value)
 
+    @pytest.mark.parametrize("where, edit", [
+        ("script[0]", lambda raw: raw["script"][0].pop("object")),
+        ("script[13]", lambda raw: raw["script"][13].pop("object")),
+        ("script[16]", lambda raw: raw["script"].append({"action": "delete"})),
+        ("script[16]", lambda raw: raw["script"].append({"action": "drop_host"})),
+        ("script[9]", lambda raw: raw["script"][9].pop("consumer")),
+        ("script[9]", lambda raw: raw["script"][9].pop("producer")),
+        ("script[10]", lambda raw: raw["script"][10].pop("consumer")),
+        ("script[10]", lambda raw: raw["script"][10].pop("producer")),
+        ("script[11]", lambda raw: raw["script"][11].pop("a")),
+        ("script[11]", lambda raw: raw["script"][11].pop("b")),
+        ("script[0]", lambda raw: raw["script"][0].update(order="sideways")),
+        ("script[9]", lambda raw: raw["script"][9].update(chunks="three")),
+        ("script[10]", lambda raw: raw["script"][10].update(chunks=None)),
+        ("script[11]", lambda raw: raw["script"][11].update(turns="3x")),
+        ("partitions[3]", lambda raw: (
+            raw["classes"].append({"name": "atlas", "defining": [["name", "text"]]}),
+            raw["partitions"].append({"class": "atlas", "cuts": {}, "irn_count": 0}))),
+        ("links[1]", lambda raw: raw["links"][1].__setitem__(2, 0)),
+        ("info_latency", lambda raw: raw.update(info_latency=-1)),
+        ("deadline", lambda raw: raw.update(deadline=-1)),
+    ], ids=["publish-object", "migrate-object", "delete-object", "drop_host-object",
+            "pull-consumer", "pull-producer", "push-consumer", "push-producer",
+            "interactive-a", "interactive-b", "publish-order", "pull-chunks",
+            "push-chunks", "interactive-turns", "irn_count-0", "link-latency-0",
+            "info_latency-negative", "deadline-negative"])
+    def test_input_that_would_crash_run_is_rejected(self, where, edit):
+        raw = golden_raw()
+        edit(raw)
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where.startswith(where)
+
     def test_query_predicates(self):
         q = parse_query({"title": {"prefix": "fo"}, "author": "any",
                          "pages": {"range": [10, 20]}}, BOOK)
