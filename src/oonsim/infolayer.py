@@ -6,15 +6,17 @@ to relay nodes.  A request (xFind) travels down its entry node's
 breadth-first tree of the relay nodes, computed from nothing but the static
 partition map, so each node serves it at most once; responses (Results)
 walk the recorded path back to the issuing node.  No routing state is ever
-exchanged between nodes.
+exchanged between nodes.  Each node keeps its store's keys sorted per
+cell, so a find reads only its target cells, bisected on the first dimension.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import itemgetter
 from typing import Optional
 
 from .model import (
@@ -87,6 +89,7 @@ class IRNNode:
     irn_id: int
     owned: set = field(default_factory=set)          # grid coordinates
     store: dict = field(default_factory=dict)        # normalized key -> form
+    cells: dict = field(default_factory=dict)        # coordinate -> sorted keys stored in it
 
 
 @dataclass
@@ -237,12 +240,19 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
     results = None
     if local:
         if msg.action is Action.FIND:
-            matched = []
-            for key in sorted(node.store):
-                form = node.store[key]
-                if eval_query(msg.payload, form, cls) and check_access(form, msg.requester, "view"):
-                    matched.append(form)
-            results = _results(node, msg, forms=tuple(matched))
+            q, who, store, matched = msg.payload, msg.requester, node.store, []
+            name, kind = cls.defining_attributes[0]
+            lo, lo_open, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
+            for keys in (node.cells.get(c, ()) for c in local):
+                i = 0 if lo is None else (bisect_right if lo_open else bisect_left)(
+                    keys, lo, key=itemgetter(0))
+                j = len(keys) if hi is None else (bisect_left if hi_open else bisect_right)(
+                    keys, hi, key=itemgetter(0))
+                for key in keys[i:j]:
+                    form = store[key]
+                    if eval_query(q, form, cls) and check_access(form, who, "view"):
+                        matched.append(key)
+            results = _results(node, msg, forms=tuple(store[k] for k in sorted(matched)))
         else:
             form = msg.payload
             cell = pmap.cell_of_iname(form.iname)
@@ -256,6 +266,7 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
                     results = _results(node, msg, ack=False, detail="AlreadyExists")
                 else:
                     node.store[key] = form
+                    insort(node.cells.setdefault(cell, []), key)
                     results = _results(node, msg, ack=True, detail="Registered")
             elif msg.action is Action.MODIFY:
                 if exists:
@@ -266,6 +277,7 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
             else:  # DELETE
                 if exists:
                     del node.store[key]
+                    node.cells[cell].pop(bisect_left(node.cells[cell], key))
                     results = _results(node, msg, ack=True, detail="Deleted")
                 else:
                     results = _results(node, msg, ack=False, detail="NotFound")
@@ -437,11 +449,7 @@ class InfoNetwork:
     # -- inspection -----------------------------------------------------------
 
     def all_forms(self) -> list:
-        forms = []
-        for node in self.nodes:
-            for key in sorted(node.store):
-                forms.append(node.store[key])
-        return forms
+        return [node.store[key] for node in self.nodes for key in sorted(node.store)]
 
     def store_sizes(self) -> list:
         return [len(n.store) for n in self.nodes]

@@ -279,9 +279,13 @@ def iname_of(form: InformationalForm, cls: ObjectClass) -> IName:
 
 
 def iname_key(cls: ObjectClass, iname: IName) -> tuple:
-    """Normalized key vector of an informational name; store/lookup identity."""
-    return tuple(normalize_value(v, k)
-                 for v, (_, k) in zip(iname.values, cls.defining_attributes))
+    """Normalized key vector of an informational name; store/lookup identity.
+    Kept on the immutable name after its first computation for a class."""
+    cached = iname.__dict__.get("_key")
+    if cached is None or cached[0] is not cls:
+        cached = iname.__dict__["_key"] = (cls, tuple(
+            normalize_value(v, k) for v, (_, k) in zip(iname.values, cls.defining_attributes)))
+    return cached[1]
 
 
 def make_form(cls: ObjectClass, values: dict, policy: AccessPolicy = OPEN_POLICY,
@@ -381,7 +385,7 @@ def _intervals(q: Query, cls: ObjectClass) -> tuple:
     """(attribute, kind, lo, lo_open, hi, hi_open) per non-ANY predicate.
 
     Built on a query's first evaluation against a class and kept on the
-    immutable query, so a scan over a whole store builds them once.
+    immutable query, so every form a find evaluates reuses them.
     """
     cached = q.__dict__.get("_intervals")
     if cached is None or cached[0] is not cls:

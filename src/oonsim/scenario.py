@@ -104,6 +104,8 @@ def _parse_policy(raw, where: str) -> AccessPolicy:
 
 
 def parse_query(raw: dict, cls: ObjectClass, where: str = "query") -> Query:
+    if not isinstance(raw, dict):
+        raise ValidationError(where, f"expected an object of predicates, got {raw!r}")
     preds = []
     for name, spec in raw.items():
         if not cls.declares(name):
@@ -115,7 +117,8 @@ def parse_query(raw: dict, cls: ObjectClass, where: str = "query") -> Query:
             preds.append((name, Eq(spec["eq"])))
         elif isinstance(spec, dict) and "prefix" in spec:
             preds.append((name, Prefix(spec["prefix"])))
-        elif isinstance(spec, dict) and "range" in spec:
+        elif isinstance(spec, dict) and isinstance(spec.get("range"), (list, tuple)) \
+                and len(spec["range"]) == 2:
             lo, hi = spec["range"]
             preds.append((name, Range(lo, hi)))
         else:
@@ -168,6 +171,8 @@ def parse_scenario(raw: dict) -> Scenario:
     domains = list(raw.get("domains", []))
     links = []
     for i, l in enumerate(raw.get("links", [])):
+        if not isinstance(l, (list, tuple)) or len(l) not in (2, 3):
+            raise ValidationError(f"links[{i}]", "expected [a, b] or [a, b, latency]")
         a, b = l[0], l[1]
         latency = _int(l[2], f"links[{i}]", 1) if len(l) > 2 else 1
         for end in (a, b):
@@ -182,6 +187,8 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ValidationError(where, f"unknown class {o.get('class')!r}")
         if o.get("domain") not in domains:
             raise ValidationError(where, f"unknown domain {o.get('domain')!r}")
+        if "id" not in o:
+            raise ValidationError(where, "object has no 'id'")
         if o["id"] in objects:
             raise ValidationError(where, f"duplicate object id {o['id']!r}")
         cls = by_name[o["class"]]
@@ -192,7 +199,7 @@ def parse_scenario(raw: dict) -> Scenario:
         objects[o["id"]] = ObjectSpec(
             obj_id=o["id"], class_name=o["class"], values=dict(o["values"]),
             domain=o["domain"], policy=_parse_policy(o.get("policy"), where),
-            entry_irn=int(o.get("entry_irn", 0)))
+            entry_irn=_int(o.get("entry_irn", 0), f"{where}.entry_irn"))
 
     script = []
     for i, step in enumerate(raw.get("script", [])):
@@ -218,7 +225,7 @@ def parse_scenario(raw: dict) -> Scenario:
             cname = step.get("class")
             if cname not in by_name:
                 raise ValidationError(where, f"unknown class {cname!r}")
-            _check_entry(irns, cname, int(step.get("entry", 0)), where)
+            _check_entry(irns, cname, _int(step.get("entry", 0), f"{where}.entry"), where)
             parse_query(step.get("query", {}), by_name[cname], f"{where}.query")
         if action == "migrate" and step.get("to") not in domains:
             raise ValidationError(where, f"unknown domain {step.get('to')!r}")

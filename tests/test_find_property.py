@@ -6,7 +6,9 @@ The reference is written here from the predicate definitions (``==``,
 matching and location share.  Cuts are random, and the relay-node count
 runs from 1 to more than the number of cells.  The same finds check the
 forwarding: each relay node serves a request at most once, every node
-the request awaits responds, and hops stay within the grid's bound.
+the request awaits responds, and hops stay within the grid's bound.  A
+second test interleaves register, modify, delete and find, and checks
+each node's per-cell key index against its store after every step.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -22,6 +24,7 @@ from oonsim import (
     Query,
     Range,
     Requester,
+    iname_key,
     make_form,
     normalize_value,
     result_keys,
@@ -71,6 +74,15 @@ def predicates(draw, kind, pool):
     return Range(lo, hi, inclusive=choice == "range")
 
 
+def value_pools(name_cuts, rank_cuts, rows) -> dict:
+    """Per attribute, the values on a cut or in a row."""
+    pools = {"name": list(name_cuts), "rank": list(rank_cuts), "note": [], "size": []}
+    for row in rows:
+        for attr, value in row.items():
+            pools[attr].append(value)
+    return pools
+
+
 @st.composite
 def find_cases(draw):
     name_cuts = draw(st.lists(texts.map(str.casefold), max_size=3, unique=True))
@@ -81,10 +93,7 @@ def find_cases(draw):
         st.fixed_dictionaries({"name": texts, "rank": integers},
                               optional={"note": texts, "size": integers}),
         max_size=12))
-    pools = {"name": list(name_cuts), "rank": list(rank_cuts), "note": [], "size": []}
-    for row in rows:
-        for attr, value in row.items():
-            pools[attr].append(value)
+    pools = value_pools(name_cuts, rank_cuts, rows)
     preds = []
     for attr in draw(st.lists(st.sampled_from(sorted(KINDS)), unique=True)):
         preds.append((attr, draw(predicates(KINDS[attr], pools[attr]))))
@@ -158,3 +167,60 @@ def test_networked_find_equals_reference(case):
     assert request.responded == request.expected
     bound = net.pmap.max_hops() if net.nodes[entry].owned else 1
     assert max(net.metrics.xfind_hops[hops_before:], default=0) <= bound
+
+
+@st.composite
+def churn_cases(draw):
+    """A grid, a pool of rows and a random sequence of register, modify,
+    delete and find steps over them, each entering at a random node."""
+    cuts, irn_count, rows, _, _ = draw(find_cases())
+    rows = rows or [{"name": "a", "rank": 0}]
+    pools = value_pools(cuts["name"], [int(k) for k in cuts["rank"]], rows)
+    steps = []
+    for action in draw(st.lists(st.sampled_from(list(Action)), max_size=20)):
+        entry = draw(st.integers(0, irn_count - 1))
+        if action is Action.FIND:
+            attrs = draw(st.lists(st.sampled_from(sorted(KINDS)), unique=True))
+            steps.append((action, entry, tuple(
+                (a, draw(predicates(KINDS[a], pools[a]))) for a in attrs)))
+        else:
+            row = dict(draw(st.sampled_from(rows)))
+            row["note"] = draw(texts)  # a modify replaces the extra attributes
+            steps.append((action, entry, row))
+    return cuts, irn_count, steps
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(churn_cases())
+def test_cell_index_tracks_the_store_under_churn(case):
+    cuts, irn_count, steps = case
+    net = make_info(ITEM, cuts, irn_count)
+    live = {}                     # normalized key -> the form stored under it
+    for action, entry, arg in steps:
+        if action is Action.FIND:
+            rid = net.issue_request(entry, action, Query("item", arg), REQ)
+            net.loop.run()
+            want = [f for f in live.values() if all(
+                reference_match(p, f.description.get(a), KINDS[a]) for a, p in arg)]
+            assert net.request(rid).status == "complete"
+            assert sorted(map(id, net.request(rid).forms)) == sorted(map(id, want))
+        else:
+            form = make_form(ITEM, arg)
+            key = iname_key(ITEM, form.iname)
+            rid = net.issue_request(entry, action, form, REQ)
+            net.loop.run()
+            if action is Action.REGISTER:
+                assert net.request(rid).ack is (key not in live)
+                live.setdefault(key, form)
+            elif action is Action.MODIFY:
+                assert net.request(rid).ack is (key in live)
+                if key in live:
+                    live[key] = form
+            else:
+                assert net.request(rid).ack is (live.pop(key, None) is not None)
+        for node in net.nodes:
+            assert all(keys == sorted(keys) for keys in node.cells.values())
+            indexed = [(cell, k) for cell, keys in node.cells.items() for k in keys]
+            assert sorted(k for _, k in indexed) == sorted(node.store)
+            assert all(net.pmap.cell_of_key(k) == cell for cell, k in indexed)

@@ -17,12 +17,14 @@ from oonsim import (
     allow_classes,
     build_partition_map,
     check_access,
+    eval_query,
     handle_xfind,
     iname_key,
     locate_partitions,
     make_form,
     next_hops,
 )
+from oonsim import infolayer
 from oonsim.infolayer import (
     InvalidCuts,
     InvalidPayload,
@@ -209,6 +211,58 @@ class TestHandleXfind:
         msg = _msg(Action.REGISTER, form, [cell], path=(3, 2, 1))
         results, _ = handle_xfind(node, self.pmap, msg)
         assert results.reverse_path == (1, 2, 3)
+
+
+class TestNarrowedScan:
+    """A find evaluates only the stored forms that could match: those in
+    its local target cells whose first key lies in the query's interval."""
+
+    TITLES = ("dune", "emma", "ubik", "zorba")
+    AUTHORS = ("asimov", "herbert", "tolkien", "zelazny")
+
+    def _find(self, monkeypatch, query):
+        # one node owns all four cells of the 2x2 grid, which hold
+        # every title/author pair
+        net = make_info(irn_count=1)
+        for title in self.TITLES:
+            for author in self.AUTHORS:
+                form = make_form(BOOK, {"title": title, "author": author})
+                net.issue_request(0, Action.REGISTER, form, REQ)
+                net.loop.run()
+        evaluated = []
+
+        def counting(q, form, cls):
+            evaluated.append(form)
+            return eval_query(q, form, cls)
+
+        monkeypatch.setattr(infolayer, "eval_query", counting)
+        rid = net.issue_request(0, Action.FIND, query, REQ)
+        net.loop.run()
+        return net, net.request(rid).forms, evaluated
+
+    def test_eq_on_first_attribute_evaluates_only_that_key(self, monkeypatch):
+        _, forms, evaluated = self._find(monkeypatch, Query("book", {"title": Eq("Emma")}))
+        assert {f.description["title"] for f in evaluated} == {"emma"}
+        assert len(evaluated) == len(forms) == len(self.AUTHORS)
+
+    def test_other_cells_of_the_node_are_not_evaluated(self, monkeypatch):
+        # author < "n" targets cells (0, 0) and (1, 0) of the node's four
+        net, forms, evaluated = self._find(monkeypatch,
+                                           Query("book", {"author": Range("a", "m")}))
+        cells = {net.pmap.cell_of_iname(f.iname) for f in evaluated}
+        assert cells == {(0, 0), (1, 0)} < net.nodes[0].owned
+        assert len(evaluated) == len(forms) == len(self.TITLES) * 2
+
+    def test_exclusive_range_skips_its_endpoints(self, monkeypatch):
+        query = Query("book", {"title": Range("dune", "ubik", inclusive=False)})
+        _, forms, evaluated = self._find(monkeypatch, query)
+        assert {f.description["title"] for f in evaluated} == {"emma"}
+        assert len(evaluated) == len(forms) == len(self.AUTHORS)
+
+    def test_results_stay_in_key_order_across_cells(self, monkeypatch):
+        _, forms, evaluated = self._find(monkeypatch, Query("book", {}))
+        keys = [iname_key(BOOK, f.iname) for f in forms]
+        assert len(evaluated) == len(keys) == 16 and keys == sorted(keys)
 
 
 class TestRequestLifecycle:

@@ -139,11 +139,22 @@ class TestParsing:
         ("links[1]", lambda raw: raw["links"][1].__setitem__(2, 0)),
         ("info_latency", lambda raw: raw.update(info_latency=-1)),
         ("deadline", lambda raw: raw.update(deadline=-1)),
+        ("objects[0].entry_irn", lambda raw: raw["objects"][0].update(entry_irn="x")),
+        ("script[6].entry", lambda raw: raw["script"][6].update(entry="x")),
+        ("objects[0]", lambda raw: raw["objects"][0].pop("id")),
+        ("links[0]", lambda raw: raw["links"].__setitem__(0, ["d1"])),
+        ("script[6].query", lambda raw: raw["script"][6].update(query=["author"])),
+        ("script[6].query.author",
+         lambda raw: raw["script"][6].update(query={"author": {"range": ["a"]}})),
+        ("script[6].query.author",
+         lambda raw: raw["script"][6].update(query={"author": {"range": ["a", "b", "c"]}})),
     ], ids=["publish-object", "migrate-object", "delete-object", "drop_host-object",
             "pull-consumer", "pull-producer", "push-consumer", "push-producer",
             "interactive-a", "interactive-b", "publish-order", "pull-chunks",
             "push-chunks", "interactive-turns", "irn_count-0", "link-latency-0",
-            "info_latency-negative", "deadline-negative"])
+            "info_latency-negative", "deadline-negative", "entry_irn-text",
+            "discover-entry-text", "object-without-id", "link-one-end",
+            "query-list", "range-one-bound", "range-three-bounds"])
     def test_input_that_would_crash_run_is_rejected(self, where, edit):
         raw = golden_raw()
         edit(raw)
