@@ -51,27 +51,25 @@ class ForwardingTable:
 # --- hosts -------------------------------------------------------------------
 
 
+def _chunk_payloads(k: int) -> list:
+    """The k payloads of a transfer; the last one carries the end marker."""
+    out = [b"chunk:%d/%d" % (i, k) for i in range(1, k + 1)]
+    if out:
+        out[-1] += b";end"
+    return out
+
+
 def _serve_send(host, msg):
     """Serve a pull request: emit the requested chunks to the reply-to method.
 
-    The final chunk carries an end marker; a zero-chunk request still gets
-    one empty completion message so the consumer terminates.
+    A zero-chunk request still gets one bare end marker so the consumer
+    terminates.
     """
     k = 0
     if msg.payload.startswith(b"pull:"):
         k = int(msg.payload.split(b":", 1)[1])
-    out = []
-    if k == 0:
-        out.append(host.emit(msg.caller, msg.reply_to_method, b"end",
-                             caller_method="SendDataTo"))
-    else:
-        for i in range(1, k + 1):
-            payload = b"chunk:%d/%d" % (i, k)
-            if i == k:
-                payload += b";end"
-            out.append(host.emit(msg.caller, msg.reply_to_method, payload,
-                                 caller_method="SendDataTo"))
-    return out
+    return [host.emit(msg.caller, msg.reply_to_method, payload, caller_method="SendDataTo")
+            for payload in _chunk_payloads(k) or [b"end"]]
 
 
 def _sink(host, msg):
@@ -138,7 +136,7 @@ def dispatch(host: ObjectHost, msg: DataMessage) -> list:
 class Domain:
     name: str
     fib: ForwardingTable = field(default_factory=ForwardingTable)
-    interfaces: dict = field(default_factory=dict)   # interface id -> (peer, latency)
+    interfaces: dict = field(default_factory=dict)   # peer domain name -> link latency
     hosts: dict = field(default_factory=dict)        # (GlobalId, LocalId) -> ObjectHost
     owned_globals: set = field(default_factory=set)
 
@@ -183,10 +181,7 @@ class DataNetwork:
     def add_domain(self, name: str) -> Domain:
         if name in self.domains:
             raise ValueError(f"duplicate domain {name!r}")
-        d = Domain(name)
-        self.domains[name] = d
-        self.loop.register(f"router:{name}",
-                           lambda msg, dom=d: self._on_router(dom, msg))
+        d = self.domains[name] = Domain(name)
         return d
 
     def domain(self, name: str) -> Domain:
@@ -198,8 +193,8 @@ class DataNetwork:
         """Bidirectional link; interface ids are the peer domain names."""
         if latency < 1:
             raise ValueError("link latency must be >= 1 tick")
-        self.domain(a).interfaces[b] = (b, latency)
-        self.domain(b).interfaces[a] = (a, latency)
+        self.domain(a).interfaces[b] = latency
+        self.domain(b).interfaces[a] = latency
 
     def add_host(self, domain_name: str, host: ObjectHost) -> None:
         d = self.domain(domain_name)
@@ -234,8 +229,7 @@ class DataNetwork:
         while frontier:
             nxt = []
             for name in frontier:
-                for ifid in sorted(self.domain(name).interfaces):
-                    peer = self.domain(name).interfaces[ifid][0]
+                for peer in sorted(self.domain(name).interfaces):
                     if peer not in parent:
                         parent[peer] = name
                         nxt.append(peer)
@@ -250,7 +244,7 @@ class DataNetwork:
     def send(self, msg: DataMessage, from_domain: str) -> None:
         """Inject a message at its sender's domain router."""
         self.metrics.sent["data"] += 1
-        self.loop.post(0, f"router:{from_domain}", msg)
+        self.loop.post(0, self._on_router, self.domains[from_domain], msg)
 
     def _on_router(self, domain: Domain, msg: DataMessage) -> None:
         msg.visited.append(domain.name)
@@ -265,9 +259,8 @@ class DataNetwork:
             if msg.hop_limit <= 0:
                 self._drop("hop_limit")
                 return
-            peer, latency = domain.interfaces[arg]
             msg.hop_limit -= 1
-            self.loop.post(latency, f"router:{peer}", msg)
+            self.loop.post(domain.interfaces[arg], self._on_router, self.domains[arg], msg)
         else:
             self._deliver(domain, arg, msg)
 
@@ -334,10 +327,7 @@ def run_push(net: DataNetwork, producer: ObjectHost, consumer: PName,
     target_host = net.host_of(consumer)
     buf0 = len(target_host.buffers) if target_host is not None else 0
     from_domain = net.domain_of(producer.pname)
-    for i in range(1, chunk_count + 1):
-        payload = b"chunk:%d/%d" % (i, chunk_count)
-        if i == chunk_count:
-            payload += b";end"
+    for payload in _chunk_payloads(chunk_count):
         net.send(producer.emit(consumer, "SinkDataFrom", payload), from_domain)
     net.loop.run()
     target_host = net.host_of(consumer)

@@ -5,9 +5,10 @@ segments per dimension; the resulting grid cells are assigned round-robin
 to relay nodes.  A request (xFind) travels down its entry node's
 breadth-first tree of the relay nodes, computed from nothing but the static
 partition map, so each node serves it at most once; responses (Results)
-walk the recorded path back to the issuing node.  No routing state is ever
-exchanged between nodes.  Each node keeps its store's keys sorted per
-cell, so a find reads only its target cells, bisected on the first dimension.
+climb the same tree's parent pointers back to the entry node.  No routing
+state is ever exchanged between nodes.  Each node keeps its store's keys
+sorted per cell, so a find reads only its target cells, bisected on the
+first dimension.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class XFindMessage:
 class ResultsMessage:
     request_id: int
     responder: int
-    reverse_path: tuple          # remaining hops back to the origin
+    entry: int                   # the request's entry node, whose tree it climbs
     forms: tuple = ()
     ack: Optional[bool] = None
     detail: str = ""
@@ -291,7 +292,7 @@ def _results(node, msg, forms=(), ack=None, detail=""):
     return ResultsMessage(
         request_id=msg.request_id,
         responder=node.irn_id,
-        reverse_path=tuple(reversed(msg.path)),
+        entry=msg.path[0] if msg.path else node.irn_id,
         forms=forms,
         ack=ack,
         detail=detail,
@@ -315,11 +316,6 @@ class RequestState:
     deadline_handle: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class _Deadline:
-    request_id: int
-
-
 class InfoNetwork:
     """One class's relay network wired to the event loop.
 
@@ -340,12 +336,6 @@ class InfoNetwork:
         self.deadline = deadline
         self.requests = {}
         self._next_request = 1
-        for node in self.nodes:
-            loop.register(self._target(node.irn_id),
-                          lambda payload, n=node: self._handle(n, payload))
-
-    def _target(self, nid: int) -> str:
-        return f"{self.cls.class_name}:irn{nid}"
 
     # -- issuing --------------------------------------------------------------
 
@@ -377,9 +367,8 @@ class InfoNetwork:
             request_id=rid, action=action, payload=payload, requester=requester,
             targets=targets)
         self.metrics.sent["xfind"] += 1
-        self.loop.post(0, self._target(entry), msg)
-        rec.deadline_handle = self.loop.post(self.deadline, self._target(entry),
-                                             _Deadline(rid))
+        self.loop.post(0, self._on_xfind, self.nodes[entry], msg)
+        rec.deadline_handle = self.loop.post(self.deadline, self._on_deadline, rid)
         return rid
 
     def request(self, rid: int) -> RequestState:
@@ -388,14 +377,6 @@ class InfoNetwork:
         return self.requests[rid]
 
     # -- node handlers --------------------------------------------------------
-
-    def _handle(self, node: IRNNode, payload) -> None:
-        if isinstance(payload, XFindMessage):
-            self._on_xfind(node, payload)
-        elif isinstance(payload, ResultsMessage):
-            self._on_results(node, payload)
-        elif isinstance(payload, _Deadline):
-            self._on_deadline(payload.request_id)
 
     def _on_xfind(self, node: IRNNode, msg: XFindMessage) -> None:
         self.trace.log(f"XFIND {msg.action.value} req={msg.request_id} "
@@ -408,19 +389,19 @@ class InfoNetwork:
             self._on_results(node, results)
         for nid, fwd in forwards:
             self.metrics.sent["xfind"] += 1
-            self.loop.post(self.latency, self._target(nid), fwd)
+            self.loop.post(self.latency, self._on_xfind, self.nodes[nid], fwd)
 
     def _on_results(self, node: IRNNode, rmsg: ResultsMessage) -> None:
-        """Log a results message at a node, then forward it or deliver it."""
+        """Log a results message at a node, then pass it to the node's parent
+        on the entry's tree, or deliver it at the entry."""
         self.trace.log(f"RESULTS req={rmsg.request_id} at=irn{node.irn_id} "
                        f"{_fmt_results(rmsg)}")
-        if rmsg.reverse_path:
-            nxt = rmsg.reverse_path[0]
-            self.loop.post(self.latency, self._target(nxt),
-                           replace(rmsg, reverse_path=rmsg.reverse_path[1:]))
-        else:
+        parent = self.pmap.routes[rmsg.entry][node.irn_id]
+        if parent is None:
             self.metrics.delivered["results"] += 1
             self.gather_results(rmsg)
+        else:
+            self.loop.post(self.latency, self._on_results, self.nodes[parent], rmsg)
 
     # -- origin-side accounting ----------------------------------------------
 

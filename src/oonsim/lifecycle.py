@@ -263,24 +263,21 @@ class World:
 
     # -- sessions -------------------------------------------------------------
 
+    def _live_host(self, obj_id: str) -> ObjectHost:
+        rec = self.record(obj_id)
+        if rec.host is None:
+            raise NotInstantiated(f"{obj_id!r}")
+        return rec.host
+
     def pull(self, consumer_id: str, producer: PName, chunks: int,
              reply_to: str = "SinkDataFrom") -> SessionTrace:
-        rec = self.record(consumer_id)
-        if rec.host is None:
-            raise NotInstantiated(f"{consumer_id!r}")
-        return run_pull(self.datanet, rec.host, producer, chunks, reply_to)
+        return run_pull(self.datanet, self._live_host(consumer_id), producer, chunks, reply_to)
 
     def push(self, producer_id: str, consumer: PName, chunks: int) -> SessionTrace:
-        rec = self.record(producer_id)
-        if rec.host is None:
-            raise NotInstantiated(f"{producer_id!r}")
-        return run_push(self.datanet, rec.host, consumer, chunks)
+        return run_push(self.datanet, self._live_host(producer_id), consumer, chunks)
 
     def interactive(self, a_id: str, b: PName, turns: int) -> SessionTrace:
-        rec = self.record(a_id)
-        if rec.host is None:
-            raise NotInstantiated(f"{a_id!r}")
-        return run_interactive(self.datanet, rec.host, b, turns)
+        return run_interactive(self.datanet, self._live_host(a_id), b, turns)
 
     # -- bookkeeping ----------------------------------------------------------
 

@@ -353,14 +353,13 @@ class Query:
 
 
 def validate_query(q: Query, cls: ObjectClass) -> None:
+    """Raise unless every predicate names a declared attribute, has a value
+    of the attribute's kind and, for a range, has lo <= hi."""
     if q.class_name != cls.class_name:
         raise ClassMismatch(f"query class {q.class_name!r} is not {cls.class_name!r}")
-    for name, pred in q.predicates:
-        kind = cls.kind_of(name)  # raises UnknownAttribute
-        if isinstance(pred, Range):
-            lo, _, hi, _ = predicate_interval(pred, kind)
-            if lo > hi:
-                raise InvalidRange(f"range on {name!r} has lo > hi")
+    for name, _, lo, _, hi, _ in _intervals(q, cls):
+        if hi is not None and lo > hi:
+            raise InvalidRange(f"range on {name!r} has lo > hi")
 
 
 def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
@@ -384,8 +383,8 @@ def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
 def _intervals(q: Query, cls: ObjectClass) -> tuple:
     """(attribute, kind, lo, lo_open, hi, hi_open) per non-ANY predicate.
 
-    Built on a query's first evaluation against a class and kept on the
-    immutable query, so every form a find evaluates reuses them.
+    Built on a query's first validation or evaluation against a class and
+    kept on the immutable query, so every form a find evaluates reuses them.
     """
     cached = q.__dict__.get("_intervals")
     if cached is None or cached[0] is not cls:
@@ -420,6 +419,8 @@ def predicate_interval(pred: Predicate, kind: AttributeKind):
         k = normalize_value(pred.value, kind)
         return (k, False, k, False)
     if isinstance(pred, Prefix):
+        if not isinstance(pred.text, str):
+            raise TypeError(f"prefix expects str, got {type(pred.text).__name__}")
         p = pred.text.casefold()
         return (p, False, _increment_key(p), True)
     if isinstance(pred, Range):

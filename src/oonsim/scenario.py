@@ -29,6 +29,7 @@ from .model import (
     Rule,
     eval_query,
     iname_key,
+    validate_query,
 )
 from .sim import Metrics, Trace
 
@@ -53,7 +54,7 @@ class Scenario:
     domains: list
     links: list                   # (a, b, latency)
     objects: list                 # ObjectSpec
-    script: list                  # raw step dicts
+    script: list                  # step dicts; a discover step's query is a Query
 
 
 @dataclass
@@ -112,18 +113,28 @@ def parse_query(raw: dict, cls: ObjectClass, where: str = "query") -> Query:
             raise ValidationError(f"{where}.{name}",
                                   f"attribute not declared by class {cls.class_name!r}")
         if spec == "any":
-            preds.append((name, ANY))
+            pred = ANY
         elif isinstance(spec, dict) and "eq" in spec:
-            preds.append((name, Eq(spec["eq"])))
+            pred = Eq(spec["eq"])
         elif isinstance(spec, dict) and "prefix" in spec:
-            preds.append((name, Prefix(spec["prefix"])))
+            pred = Prefix(spec["prefix"])
         elif isinstance(spec, dict) and isinstance(spec.get("range"), (list, tuple)) \
                 and len(spec["range"]) == 2:
-            lo, hi = spec["range"]
-            preds.append((name, Range(lo, hi)))
+            pred = Range(*spec["range"])
         else:
             raise ValidationError(f"{where}.{name}", f"bad predicate {spec!r}")
-    return Query(cls.class_name, tuple(preds))
+        preds.append((name, pred))
+    query = Query(cls.class_name, tuple(preds))
+    try:
+        validate_query(query, cls)  # keeps the intervals on the query for the run
+    except (TypeError, OonError):
+        for name, pred in preds:  # name the first predicate that fails alone
+            try:
+                validate_query(Query(cls.class_name, ((name, pred),)), cls)
+            except (TypeError, OonError) as exc:
+                raise ValidationError(f"{where}.{name}", str(exc)) from exc
+        raise
+    return query
 
 
 def load_scenario(path: str) -> Scenario:
@@ -191,8 +202,7 @@ def parse_scenario(raw: dict) -> Scenario:
             raise ValidationError(where, "object has no 'id'")
         if o["id"] in objects:
             raise ValidationError(where, f"duplicate object id {o['id']!r}")
-        cls = by_name[o["class"]]
-        for name in cls.defining_names:
+        for name, _ in by_name[o["class"]].defining_attributes:
             if name not in o.get("values", {}):
                 raise ValidationError(f"{where}.values",
                                       f"missing defining attribute {name!r}")
@@ -226,7 +236,8 @@ def parse_scenario(raw: dict) -> Scenario:
             if cname not in by_name:
                 raise ValidationError(where, f"unknown class {cname!r}")
             _check_entry(irns, cname, _int(step.get("entry", 0), f"{where}.entry"), where)
-            parse_query(step.get("query", {}), by_name[cname], f"{where}.query")
+            step = dict(step, query=parse_query(step.get("query", {}), by_name[cname],
+                                                f"{where}.query"))
         if action == "migrate" and step.get("to") not in domains:
             raise ValidationError(where, f"unknown domain {step.get('to')!r}")
         script.append(dict(step))
@@ -281,10 +292,8 @@ def run(scenario: Scenario) -> RunResult:
             except OonError as exc:
                 world.trace.log(f"ERROR publish {step['object']} {exc}")
         elif action == "discover":
-            cls = world.classes[step["class"]]
-            query = parse_query(step.get("query", {}), cls)
             result.discoveries.append(
-                world.discover(query, entry=int(step.get("entry", 0)),
+                world.discover(step["query"], entry=int(step.get("entry", 0)),
                                requester_class=step.get("requester_class", "anonymous")))
         elif action in ("pull", "push", "interactive"):
             result.sessions.append(_run_session(world, step))

@@ -2,6 +2,8 @@
 
 A single integer-tick clock; events are processed in (tick, insertion
 sequence) order, which makes every run a pure function of its inputs.
+Each event names the handler it calls and the arguments it passes, as a
+forwarding element's table entry names the next element directly.
 """
 
 from __future__ import annotations
@@ -18,20 +20,16 @@ class EventLoop:
         self.now = 0
         self._heap = []
         self._seq = 0
-        self._handlers = {}
         self._last = (-1, -1)
         self._cancelled = set()
 
-    def register(self, target: str, handler) -> None:
-        self._handlers[target] = handler
-
-    def post(self, delay: int, target: str, payload) -> tuple:
-        """Schedule a payload; returns a handle usable with cancel()."""
+    def post(self, delay: int, handler, *args) -> tuple:
+        """Schedule handler(*args); returns a handle usable with cancel()."""
         if delay < 0:
             raise ValueError("negative delay")
         tick, seq = self.now + delay, self._seq
         self._seq += 1
-        heapq.heappush(self._heap, (tick, seq, target, payload))
+        heapq.heappush(self._heap, (tick, seq, handler, args))
         return (tick, seq)
 
     def cancel(self, handle: tuple) -> None:
@@ -44,20 +42,16 @@ class EventLoop:
         while self._heap:
             if max_events is not None and processed >= max_events:
                 break
-            tick, seq, target, payload = heapq.heappop(self._heap)
+            tick, seq, handler, args = heapq.heappop(self._heap)
             if (tick, seq) in self._cancelled:
                 self._cancelled.discard((tick, seq))
                 continue
             assert (tick, seq) > self._last, "event ordering violated"
             self._last = (tick, seq)
             self.now = tick
-            self._handlers[target](payload)
+            handler(*args)
             processed += 1
         return processed
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
 
 
 class Trace:

@@ -40,7 +40,7 @@ def _wire(net, placements, extra_methods=()):
 class TestRouteData:
     def setup_method(self):
         self.domain = Domain("d1")
-        self.domain.interfaces["d2"] = ("d2", 1)
+        self.domain.interfaces["d2"] = 1
         self.host = _host(1, 1)
         self.domain.hosts[(1, 1)] = self.host
         self.domain.owned_globals.add(1)

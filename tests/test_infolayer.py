@@ -204,14 +204,6 @@ class TestHandleXfind:
             handle_xfind(wrong, self.pmap,
                          _msg(Action.REGISTER, form, list(wrong.owned)))
 
-    def test_results_reverse_recorded_path(self):
-        form = make_form(BOOK, {"title": "dune", "author": "herbert"})
-        cell = self.pmap.cell_of_iname(form.iname)
-        node = self.nodes[self.pmap.assignment[cell]]
-        msg = _msg(Action.REGISTER, form, [cell], path=(3, 2, 1))
-        results, _ = handle_xfind(node, self.pmap, msg)
-        assert results.reverse_path == (1, 2, 3)
-
 
 class TestNarrowedScan:
     """A find evaluates only the stored forms that could match: those in
@@ -292,6 +284,13 @@ class TestRequestLifecycle:
         assert net.request(rid).status == "complete"
         assert net.loop.run() == 0 and net.metrics.messages_sent() == 0
 
+    def test_ill_typed_query_raises_before_anything_is_posted(self):
+        net = make_info()
+        with pytest.raises(TypeError):
+            net.issue_request(0, Action.FIND, Query("book", {"pages": Eq("x")}), REQ)
+        assert net.requests == {} and net.loop.run() == 0
+        assert net.metrics.messages_sent() == 0
+
     def test_gather_completes_on_full_coverage(self):
         net = make_info()
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
@@ -305,14 +304,14 @@ class TestRequestLifecycle:
             Query("book", {"title": Eq("dune"), "author": Eq("herbert")}), REQ)
         rec = net.request(rid)
         assert rec.status == "pending"
-        net.gather_results(ResultsMessage(request_id=rid, responder=99, reverse_path=()))
+        net.gather_results(ResultsMessage(request_id=rid, responder=99, entry=0))
         assert rec.status == "pending"  # 99 is not the expected owner
 
     def test_duplicate_results_ignored(self):
         net = make_info()
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
         form = make_form(BOOK, {"title": "dune", "author": "herbert"})
-        dup = ResultsMessage(request_id=rid, responder=1, reverse_path=(), forms=(form,))
+        dup = ResultsMessage(request_id=rid, responder=1, entry=0, forms=(form,))
         net.gather_results(dup)
         net.gather_results(dup)
         assert len(net.request(rid).forms) == 1
@@ -320,7 +319,7 @@ class TestRequestLifecycle:
     def test_deadline_marks_timeout_with_partial_results(self):
         net = make_info(deadline=10)
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
-        net.gather_results(ResultsMessage(request_id=rid, responder=0, reverse_path=()))
+        net.gather_results(ResultsMessage(request_id=rid, responder=0, entry=0))
         net._on_deadline(rid)
         rec = net.request(rid)
         assert rec.status == "timeout"
@@ -421,6 +420,19 @@ class TestNetworkProperties:
         assert net.request(find).status == "complete"
         assert net.request(find).forms == [form]
         assert max(net.metrics.xfind_hops) == net.pmap.max_hops() == 79
+
+    def test_results_climb_entry_tree_on_eighty_node_line(self):
+        # node i owns segment i; "04x" lies in segment 4, six hops below
+        # entry 10, so its results pass exactly nodes 4, 5, ..., 10
+        tag = ObjectClass("tag", (("label", AttributeKind.TEXT),))
+        net = make_info(tag, {"label": [f"{i:02d}" for i in range(1, 80)]}, 80)
+        rid = net.issue_request(10, Action.REGISTER, make_form(tag, {"label": "04x"}), REQ)
+        net.loop.run()
+        at = [int(text.split(" at=irn")[1].split()[0])
+              for text in net.trace.lines if " RESULTS " in text]
+        assert at == list(range(4, 11))
+        assert net.request(rid).detail == "Registered"
+        assert net.metrics.sent["results"] == net.metrics.delivered["results"] == 1
 
     def test_message_conservation(self):
         net = make_info()

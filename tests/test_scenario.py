@@ -14,7 +14,7 @@ from oonsim import (
     run,
 )
 from oonsim.infolayer import Action, Requester
-from oonsim.model import make_form
+from oonsim.model import Eq, Prefix, Query, make_form
 from oonsim.scenario import ScenarioParseError, ValidationError, parse_query
 
 from conftest import BOOK
@@ -148,13 +148,27 @@ class TestParsing:
          lambda raw: raw["script"][6].update(query={"author": {"range": ["a"]}})),
         ("script[6].query.author",
          lambda raw: raw["script"][6].update(query={"author": {"range": ["a", "b", "c"]}})),
+        ("script[6].query.pages",
+         lambda raw: raw["script"][6].update(query={"pages": {"eq": "x"}})),
+        ("script[6].query.pages",
+         lambda raw: raw["script"][6].update(query={"pages": {"eq": -1}})),
+        ("script[6].query.pages",
+         lambda raw: raw["script"][6].update(query={"pages": {"range": [1, "b"]}})),
+        ("script[6].query.title",
+         lambda raw: raw["script"][6].update(query={"title": {"range": ["z", "a"]}})),
+        ("script[6].query.title",
+         lambda raw: raw["script"][6].update(query={"title": {"eq": ""}})),
+        ("script[6].query.title",
+         lambda raw: raw["script"][6].update(query={"title": {"prefix": 5}})),
     ], ids=["publish-object", "migrate-object", "delete-object", "drop_host-object",
             "pull-consumer", "pull-producer", "push-consumer", "push-producer",
             "interactive-a", "interactive-b", "publish-order", "pull-chunks",
             "push-chunks", "interactive-turns", "irn_count-0", "link-latency-0",
             "info_latency-negative", "deadline-negative", "entry_irn-text",
             "discover-entry-text", "object-without-id", "link-one-end",
-            "query-list", "range-one-bound", "range-three-bounds"])
+            "query-list", "range-one-bound", "range-three-bounds", "eq-text-on-integer",
+            "eq-negative-integer", "range-text-on-integer", "range-reversed", "eq-empty-text",
+            "prefix-integer"])
     def test_input_that_would_crash_run_is_rejected(self, where, edit):
         raw = golden_raw()
         edit(raw)
@@ -167,6 +181,14 @@ class TestParsing:
                          "pages": {"range": [10, 20]}}, BOOK)
         kinds = {name: type(p).__name__ for name, p in q.predicates}
         assert kinds == {"title": "Prefix", "author": "AnyValue", "pages": "Range"}
+
+    def test_empty_prefix_accepted(self):
+        q = parse_query({"title": {"prefix": ""}}, BOOK)
+        assert q.predicates == (("title", Prefix("")),)
+
+    def test_discover_step_keeps_its_parsed_query(self):
+        sc = parse_scenario(golden_raw())
+        assert sc.script[6]["query"] == Query("book", (("author", Eq("asimov")),))
 
     def test_query_unknown_attribute(self):
         with pytest.raises(ValidationError):
