@@ -1,9 +1,11 @@
-"""Data layer: routing of Data messages on physical names and method dispatch.
+"""Data layer: where each host lives, routing on physical names, and dispatch.
 
 One router per domain.  Inter-domain forwarding is keyed on the global id
 only, so a router's table grows with the number of providers, not with
 the number of objects.  Intra-domain delivery looks up the local id among
 the domain's attached hosts.  Routing reads nothing but the callee name.
+Attaching a host routes its GlobalId prefix to the host's domain: this
+module alone records where each host lives and where each prefix routes.
 """
 
 from __future__ import annotations
@@ -87,27 +89,21 @@ def _listening(host, msg):
     return []
 
 
-class ObjectHost:
-    """A physical form attached to one domain: method handlers plus buffers.
+# Method name -> handler; every other declared method buffers what it receives.
+_HANDLERS = {"SendDataTo": _serve_send, "Listening": _listening}
 
-    Handlers are fixed per method name: SendDataTo serves pulls, Listening
-    converses, every other declared method buffers what it receives.
-    """
+
+class ObjectHost:
+    """A physical form: its class's declared methods plus received buffers."""
 
     def __init__(self, pname: PName, class_name: str, methods=(),
                  policy: AccessPolicy = None):
         self.pname = pname
         self.class_name = class_name
+        self.methods = tuple(methods)
         self.policy = policy
         self.buffers = []
-        self.handlers = {}
-        for m in methods:
-            if m == "SendDataTo":
-                self.handlers[m] = _serve_send
-            elif m == "Listening":
-                self.handlers[m] = _listening
-            else:
-                self.handlers[m] = _sink
+        self.domain = None           # attached domain; DataNetwork sets it
 
     def emit(self, callee: PName, callee_method: str, payload: bytes,
              caller_method: str = "SendDataTo", reply_to: str = "SinkDataFrom"):
@@ -119,14 +115,13 @@ class ObjectHost:
 def dispatch(host: ObjectHost, msg: DataMessage) -> list:
     """Invoke the addressed method; unknown methods get a soft error reply."""
     assert msg.callee == host.pname
-    handler = host.handlers.get(msg.callee_method)
-    if handler is None:
+    if msg.callee_method not in host.methods:
         return [DataMessage(
             caller=host.pname, caller_method=msg.callee_method,
             callee=msg.caller, callee_method=msg.reply_to_method,
             reply_to_method="SinkDataFrom",
             payload=b"error:unknown-method:" + msg.callee_method.encode())]
-    return handler(host, msg)
+    return _HANDLERS.get(msg.callee_method, _sink)(host, msg)
 
 
 # --- domains and routing -----------------------------------------------------
@@ -168,7 +163,7 @@ def update_fib(domain: Domain, global_id: int, interface: str) -> None:
 
 
 class DataNetwork:
-    """Domains, links and the message plumbing over the shared event loop."""
+    """Domains, links, host placement and the message plumbing over the loop."""
 
     def __init__(self, loop: EventLoop, trace: Trace, metrics: Metrics):
         self.loop = loop
@@ -176,7 +171,8 @@ class DataNetwork:
         self.metrics = metrics
         self.domains = {}
         self.deliveries = []        # (tick, summary, visited) per delivered msg
-        self._host_index = {}       # PName -> domain name
+        self.hosts = {}             # PName -> attached ObjectHost
+        self.route_owner = {}       # GlobalId -> domain its routes point to
 
     def add_domain(self, name: str) -> Domain:
         if name in self.domains:
@@ -195,35 +191,42 @@ class DataNetwork:
             raise ValueError("link latency must be >= 1 tick")
         self.domain(a).interfaces[b] = latency
         self.domain(b).interfaces[a] = latency
+        self.route_owner.clear()     # shortest paths may change: route afresh
 
     def add_host(self, domain_name: str, host: ObjectHost) -> None:
+        """Attach the host and route its GlobalId prefix to this domain."""
         d = self.domain(domain_name)
-        d.hosts[(host.pname.global_id, host.pname.local_id)] = host
-        d.owned_globals.add(host.pname.global_id)
-        self._host_index[host.pname] = domain_name
+        gid = host.pname.global_id
+        d.hosts[(gid, host.pname.local_id)] = host
+        d.owned_globals.add(gid)
+        self.hosts[host.pname] = host
+        host.domain = domain_name
+        self.install_routes(gid, domain_name)
 
     def remove_host(self, pname: PName) -> ObjectHost:
-        domain_name = self._host_index.pop(pname)
-        d = self.domain(domain_name)
-        host = d.hosts.pop((pname.global_id, pname.local_id))
+        host = self.hosts.pop(pname)
+        d = self.domains[host.domain]
+        del d.hosts[(pname.global_id, pname.local_id)]
         d.owned_globals = {h.pname.global_id for h in d.hosts.values()}
+        host.domain = None
         return host
 
     def host_of(self, pname: PName) -> Optional[ObjectHost]:
-        domain_name = self._host_index.get(pname)
-        if domain_name is None:
-            return None
-        return self.domain(domain_name).hosts.get((pname.global_id, pname.local_id))
+        return self.hosts.get(pname)
 
     def domain_of(self, pname: PName) -> Optional[str]:
-        return self._host_index.get(pname)
+        host = self.hosts.get(pname)
+        return host.domain if host is not None else None
 
     def install_routes(self, global_id: int, owner_domain: str) -> None:
         """Point every router's entry for this prefix toward the owner.
 
         Shortest paths over the link graph; deterministic tie-break by
-        domain name.  Scripted plumbing, not a routing protocol.
+        domain name.  Scripted plumbing, not a routing protocol.  Returns
+        at once when the prefix already routes to this owner.
         """
+        if self.route_owner.get(global_id) == owner_domain:
+            return
         parent = {owner_domain: None}
         frontier = [owner_domain]
         while frontier:
@@ -238,6 +241,7 @@ class DataNetwork:
             if name == owner_domain or name not in parent:
                 continue
             update_fib(self.domains[name], global_id, parent[name])
+        self.route_owner[global_id] = owner_domain
 
     # -- message plumbing -----------------------------------------------------
 
@@ -312,11 +316,11 @@ def run_pull(net: DataNetwork, consumer: ObjectHost, producer: PName,
     req = consumer.emit(producer, "SendDataTo",
                         b"pull:%d" % chunk_count,
                         caller_method="GetDataFrom", reply_to=reply_to)
-    net.send(req, net.domain_of(consumer.pname))
+    net.send(req, consumer.domain)
     net.loop.run()
     received = [p for m, p in consumer.buffers[buf0:] if m == reply_to]
     completed = (len(received) == max(chunk_count, 1)
-                 and bool(received) and received[-1].endswith(b"end"))
+                 and received[-1].endswith(b"end"))
     return _session(net, d0, s0, completed)
 
 
@@ -326,11 +330,9 @@ def run_push(net: DataNetwork, producer: ObjectHost, consumer: PName,
     d0, s0 = len(net.deliveries), net.metrics.sent["data"]
     target_host = net.host_of(consumer)
     buf0 = len(target_host.buffers) if target_host is not None else 0
-    from_domain = net.domain_of(producer.pname)
     for payload in _chunk_payloads(chunk_count):
-        net.send(producer.emit(consumer, "SinkDataFrom", payload), from_domain)
+        net.send(producer.emit(consumer, "SinkDataFrom", payload), producer.domain)
     net.loop.run()
-    target_host = net.host_of(consumer)
     if target_host is None:
         completed = False
     else:
@@ -345,11 +347,10 @@ def run_interactive(net: DataNetwork, a: ObjectHost, b: PName,
     """Alternating conversation; every turn message gets one reply."""
     d0, s0 = len(net.deliveries), net.metrics.sent["data"]
     buf0 = len(a.buffers)
-    from_domain = net.domain_of(a.pname)
     for i in range(1, turns + 1):
         msg = a.emit(b, "Listening", b"turn:%d" % i,
                      caller_method="Talking", reply_to="Listening")
-        net.send(msg, from_domain)
+        net.send(msg, a.domain)
         net.loop.run()
     replies = [p for m, p in a.buffers[buf0:]
                if m == "Listening" and p.startswith(b"reply:")]

@@ -3,7 +3,9 @@
 The World wires the authority, the data-layer domains and the per-class
 discovery networks onto one event loop, and runs instantiate, publish,
 discover, migrate and the cross-layer consistency audit as discrete
-scripted steps.
+scripted steps.  Where each host lives, and so where its prefix routes,
+is the data layer's record; each object's record keeps only its spec,
+p-name, home domain and informational form.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class _Record:
     spec: ObjectSpec             # as given; never written
     domain: str                  # current home domain, moved by migrate
     pname: Optional[PName] = None
-    host: Optional[ObjectHost] = None
     form: Optional[InformationalForm] = None
 
 
@@ -98,7 +99,6 @@ class World:
         self.info = {}               # class name -> InfoNetwork
         self.registry = {}           # obj id -> _Record
         self._allocators = {}        # domain name -> LocalAllocator
-        self._installed = {}         # global id -> owner domain
 
     # -- topology -------------------------------------------------------------
 
@@ -132,8 +132,12 @@ class World:
             raise UnknownObject(f"{obj_id!r}")
         return self.registry[obj_id]
 
+    def host(self, obj_id: str) -> Optional[ObjectHost]:
+        """The object's attached host, or None when it has none."""
+        return self.datanet.host_of(self.record(obj_id).pname)
+
     def instantiate(self, obj_id: str):
-        """Mint a pname, create the host, install routes to its domain."""
+        """Mint a pname and attach its host, which routes its prefix there."""
         rec = self.record(obj_id)
         spec = rec.spec
         if rec.domain not in self.datanet.domains:
@@ -144,14 +148,8 @@ class World:
         pname = self._allocators[rec.domain].mint_pname()
         host = ObjectHost(pname, spec.class_name, cls.methods, spec.policy)
         self.datanet.add_host(rec.domain, host)
-        self._route(pname.global_id, rec.domain)
-        rec.pname, rec.host = pname, host
+        rec.pname = pname
         return host, pname
-
-    def _route(self, global_id: int, owner: str) -> None:
-        if self._installed.get(global_id) != owner:
-            self.datanet.install_routes(global_id, owner)
-            self._installed[global_id] = owner
 
     def publish(self, obj_id: str, order: str = "bottom_up") -> str:
         """Create the informational form at its owning relay node.
@@ -164,7 +162,7 @@ class World:
         spec = rec.spec
         cls = self.classes[spec.class_name]
         if order == "bottom_up":
-            if rec.host is None:
+            if self.host(obj_id) is None:
                 raise NotInstantiated(f"{obj_id!r} must be instantiated first")
             relationship = [rec.pname]
         elif order == "top_down":
@@ -211,15 +209,13 @@ class World:
 
     def migrate(self, obj_id: str, to_domain: str) -> None:
         """Move the physical form; the pname and informational form stay put."""
-        rec = self.record(obj_id)
-        if rec.host is None:
+        if self.host(obj_id) is None:
             raise UnknownObject(f"{obj_id!r} has no live host")
         if to_domain not in self.datanet.domains:
             raise UnknownDomain(f"{to_domain!r}")
-        host = self.datanet.remove_host(rec.pname)
-        self.datanet.add_host(to_domain, host)
+        rec = self.record(obj_id)
+        self.datanet.add_host(to_domain, self.datanet.remove_host(rec.pname))
         rec.domain = to_domain
-        self._route(rec.pname.global_id, to_domain)
 
     def delete(self, obj_id: str) -> None:
         """Tear down info-first so no dangling-pointer window opens."""
@@ -227,17 +223,14 @@ class World:
         if rec.form is not None:
             self._action(rec.spec, Action.DELETE, rec.form)
             rec.form = None
-        if rec.host is not None:
+        if self.host(obj_id) is not None:
             self.datanet.remove_host(rec.pname)
-            rec.host = None
 
     def drop_host(self, obj_id: str) -> None:
         """Fault injection: kill the host without touching the info layer."""
-        rec = self.record(obj_id)
-        if rec.host is None:
+        if self.host(obj_id) is None:
             raise UnknownObject(f"{obj_id!r} has no live host")
-        self.datanet.remove_host(rec.pname)
-        rec.host = None
+        self.datanet.remove_host(self.record(obj_id).pname)
 
     def audit_consistency(self) -> AuditReport:
         """Report dangling relationship pointers and orphan hosts.
@@ -253,21 +246,18 @@ class World:
                     referenced.add(p)
                     if self.datanet.host_of(p) is None:
                         dangling.append((form.iname, p))
-        orphans = []
-        for name in sorted(self.datanet.domains):
-            for key in sorted(self.datanet.domains[name].hosts):
-                p = self.datanet.domains[name].hosts[key].pname
-                if p not in referenced:
-                    orphans.append(p)
+        hosts = sorted(self.datanet.hosts.values(),
+                       key=lambda h: (h.domain, h.pname.global_id, h.pname.local_id))
+        orphans = [h.pname for h in hosts if h.pname not in referenced]
         return AuditReport(dangling, orphans)
 
     # -- sessions -------------------------------------------------------------
 
     def _live_host(self, obj_id: str) -> ObjectHost:
-        rec = self.record(obj_id)
-        if rec.host is None:
+        host = self.host(obj_id)
+        if host is None:
             raise NotInstantiated(f"{obj_id!r}")
-        return rec.host
+        return host
 
     def pull(self, consumer_id: str, producer: PName, chunks: int,
              reply_to: str = "SinkDataFrom") -> SessionTrace:

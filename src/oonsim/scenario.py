@@ -21,6 +21,7 @@ from .model import (
     AccessPolicy,
     AttributeKind,
     Eq,
+    OPEN_POLICY,
     ObjectClass,
     OonError,
     Prefix,
@@ -46,7 +47,6 @@ class ScenarioParseError(OonError):
 
 @dataclass
 class Scenario:
-    seed: int
     info_latency: int
     deadline: int
     classes: list                 # ObjectClass
@@ -87,9 +87,25 @@ def _int(value, where: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _shape(value, kind: type, where: str):
+    """value when it is a JSON list (kind list) or object (kind dict)."""
+    if not isinstance(value, kind):
+        name = "a list" if kind is list else "an object"
+        raise ValidationError(where, f"expected {name}, got {value!r}")
+    return value
+
+
+def _known(name, known, where: str, what: str) -> str:
+    """name when it is a string among known; JSON lists are unhashable."""
+    if not isinstance(name, str) or name not in known:
+        raise ValidationError(where, f"unknown {what} {name!r}")
+    return name
+
+
 def _parse_policy(raw, where: str) -> AccessPolicy:
     if raw is None:
-        return AccessPolicy()
+        return OPEN_POLICY        # frozen, so every object can share it
+    _shape(raw, dict, f"{where}.policy")
     rules = {}
     for side in ("view", "exchange"):
         spec = raw.get(side, "allow_all")
@@ -97,7 +113,7 @@ def _parse_policy(raw, where: str) -> AccessPolicy:
             rules[side] = Rule("allow_all")
         elif spec == "deny_all":
             rules[side] = Rule("deny_all")
-        elif isinstance(spec, dict) and "classes" in spec:
+        elif isinstance(spec, dict) and isinstance(spec.get("classes"), list):
             rules[side] = Rule("allow_classes", tuple(spec["classes"]))
         else:
             raise ValidationError(f"{where}.{side}", f"bad policy {spec!r}")
@@ -149,79 +165,85 @@ def load_scenario(path: str) -> Scenario:
 
 
 def parse_scenario(raw: dict) -> Scenario:
+    _shape(raw, dict, "scenario")
     classes = []
-    for i, c in enumerate(raw.get("classes", [])):
+    for i, c in enumerate(_shape(raw.get("classes", []), list, "classes")):
         where = f"classes[{i}]"
+        if not isinstance(_shape(c, dict, where).get("name"), str):
+            raise ValidationError(f"{where}.name", "expected a string class name")
         try:
             classes.append(ObjectClass(
                 class_name=c["name"],
                 defining_attributes=tuple((n, AttributeKind(k)) for n, k in c["defining"]),
                 extra_description_attributes=tuple(
                     (n, AttributeKind(k)) for n, k in c.get("extra", [])),
-                methods=tuple(c.get("methods", ())),
+                methods=tuple(_shape(c.get("methods", []), list, f"{where}.methods")),
             ))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(where, str(exc)) from exc
     by_name = {c.class_name: c for c in classes}
 
     partitions = []
     irns = {}                     # class name -> relay node count
-    for i, p in enumerate(raw.get("partitions", [])):
+    for i, p in enumerate(_shape(raw.get("partitions", []), list, "partitions")):
         where = f"partitions[{i}]"
-        cname = p.get("class")
-        if cname not in by_name:
-            raise ValidationError(where, f"unknown class {cname!r}")
+        cname = _known(_shape(p, dict, where).get("class"), by_name, where, "class")
         cls = by_name[cname]
-        for attr in p.get("cuts", {}):
+        cuts = _shape(p.get("cuts", {}), dict, f"{where}.cuts")
+        for attr, keys in cuts.items():
             if not cls.declares(attr):
                 raise ValidationError(f"{where}.cuts",
                                       f"attribute {attr!r} not declared by {cname!r}")
+            if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)
+                    and all(a < b for a, b in zip(keys, keys[1:]))):
+                raise ValidationError(f"{where}.cuts.{attr}",
+                                      f"expected strictly increasing strings, got {keys!r}")
         irns[cname] = _int(p.get("irn_count", 1), f"{where}.irn_count", 1)
-        partitions.append((cname, dict(p.get("cuts", {})), irns[cname]))
+        partitions.append((cname, dict(cuts), irns[cname]))
 
-    domains = list(raw.get("domains", []))
+    domains = list(_shape(raw.get("domains", []), list, "domains"))
+    for i, name in enumerate(domains):
+        if not isinstance(name, str) or name in domains[:i]:
+            raise ValidationError(f"domains[{i}]", f"not a new domain name: {name!r}")
     links = []
-    for i, l in enumerate(raw.get("links", [])):
+    for i, l in enumerate(_shape(raw.get("links", []), list, "links")):
         if not isinstance(l, (list, tuple)) or len(l) not in (2, 3):
             raise ValidationError(f"links[{i}]", "expected [a, b] or [a, b, latency]")
         a, b = l[0], l[1]
         latency = _int(l[2], f"links[{i}]", 1) if len(l) > 2 else 1
         for end in (a, b):
-            if end not in domains:
-                raise ValidationError(f"links[{i}]", f"unknown domain {end!r}")
+            _known(end, domains, f"links[{i}]", "domain")
         links.append((a, b, latency))
 
     objects = {}                  # object id -> ObjectSpec
-    for i, o in enumerate(raw.get("objects", [])):
+    for i, o in enumerate(_shape(raw.get("objects", []), list, "objects")):
         where = f"objects[{i}]"
-        if o.get("class") not in by_name:
-            raise ValidationError(where, f"unknown class {o.get('class')!r}")
-        if o.get("domain") not in domains:
-            raise ValidationError(where, f"unknown domain {o.get('domain')!r}")
-        if "id" not in o:
-            raise ValidationError(where, "object has no 'id'")
+        _known(_shape(o, dict, where).get("class"), by_name, where, "class")
+        _known(o.get("domain"), domains, where, "domain")
+        if not isinstance(o.get("id"), str):
+            raise ValidationError(where, "object has no string 'id'")
         if o["id"] in objects:
             raise ValidationError(where, f"duplicate object id {o['id']!r}")
+        values = _shape(o.get("values", {}), dict, f"{where}.values")
         for name, _ in by_name[o["class"]].defining_attributes:
-            if name not in o.get("values", {}):
+            if name not in values:
                 raise ValidationError(f"{where}.values",
                                       f"missing defining attribute {name!r}")
         objects[o["id"]] = ObjectSpec(
-            obj_id=o["id"], class_name=o["class"], values=dict(o["values"]),
+            obj_id=o["id"], class_name=o["class"], values=dict(values),
             domain=o["domain"], policy=_parse_policy(o.get("policy"), where),
             entry_irn=_int(o.get("entry_irn", 0), f"{where}.entry_irn"))
 
     script = []
-    for i, step in enumerate(raw.get("script", [])):
+    for i, step in enumerate(_shape(raw.get("script", []), list, "script")):
         where = f"script[{i}]"
-        action = step.get("action")
-        if action not in _STEP_OBJECTS:
+        action = _shape(step, dict, where).get("action")
+        if not isinstance(action, str) or action not in _STEP_OBJECTS:
             raise ValidationError(where, f"unknown action {action!r}")
         for key in _STEP_OBJECTS[action]:
             if key not in step:
                 raise ValidationError(where, f"{action} step names no {key!r}")
-            if step[key] not in objects:
-                raise ValidationError(where, f"unknown object {step[key]!r}")
+            _known(step[key], objects, where, "object")
         for key in ("chunks", "turns"):
             if key in step:
                 _int(step[key], f"{where}.{key}")
@@ -232,18 +254,15 @@ def parse_scenario(raw: dict) -> Scenario:
             _check_entry(irns, spec.class_name, spec.entry_irn,
                          f"{where} (object {spec.obj_id!r})")
         if action == "discover":
-            cname = step.get("class")
-            if cname not in by_name:
-                raise ValidationError(where, f"unknown class {cname!r}")
+            cname = _known(step.get("class"), by_name, where, "class")
             _check_entry(irns, cname, _int(step.get("entry", 0), f"{where}.entry"), where)
             step = dict(step, query=parse_query(step.get("query", {}), by_name[cname],
                                                 f"{where}.query"))
-        if action == "migrate" and step.get("to") not in domains:
-            raise ValidationError(where, f"unknown domain {step.get('to')!r}")
+        if action == "migrate":
+            _known(step.get("to"), domains, where, "domain")
         script.append(dict(step))
 
     return Scenario(
-        seed=int(raw.get("seed", 0)),
         info_latency=_int(raw.get("info_latency", 1), "info_latency", 0),
         deadline=_int(raw.get("deadline", 1000), "deadline", 0),
         classes=classes, partitions=partitions, domains=domains,
@@ -283,10 +302,9 @@ def run(scenario: Scenario) -> RunResult:
     for step in scenario.script:
         action = step["action"]
         if action == "publish":
-            rec = world.record(step["object"])
             order = step.get("order", "bottom_up")
             try:
-                if order == "bottom_up" and rec.host is None:
+                if order == "bottom_up" and world.host(step["object"]) is None:
                     world.instantiate(step["object"])
                 world.publish(step["object"], order)
             except OonError as exc:

@@ -13,6 +13,7 @@ from oonsim import (
     run_push,
     update_fib,
 )
+from oonsim import datalayer
 from oonsim.datalayer import Domain, UnknownInterface
 from oonsim.model import AccessPolicy, Rule
 
@@ -35,6 +36,51 @@ def _wire(net, placements, extra_methods=()):
     for domain, gid, _ in placements:
         net.install_routes(gid, domain)
     return hosts
+
+
+class TestPlacement:
+    def test_add_host_alone_routes_its_prefix(self):
+        net = make_datanet()
+        producer = _host(1, 1)
+        net.add_host("d1", producer)
+        net.add_host("d3", _host(2, 1))
+        st = run_push(net, producer, PName(2, 1), 2)
+        assert st.outcome == "completed"
+        assert net.metrics.drops_by_cause == {}
+
+    def test_repeated_install_for_the_same_owner_updates_no_fib(self, monkeypatch):
+        net = make_datanet()
+        net.add_host("d3", _host(2, 1))
+        calls = []
+        monkeypatch.setattr(datalayer, "update_fib", lambda *args: calls.append(args))
+        net.install_routes(2, "d3")
+        net.add_host("d3", _host(2, 2))
+        assert calls == []
+        net.install_routes(2, "d1")
+        assert [(d.name, gid, via) for d, gid, via in calls] == [("d2", 2, "d1"),
+                                                                ("d3", 2, "d2")]
+
+    def test_new_link_reroutes_the_next_host_under_a_routed_prefix(self):
+        net = make_datanet()                    # d1 - d2 - d3
+        producer = _host(1, 1)
+        net.add_host("d1", producer)
+        net.add_host("d3", _host(2, 1))
+        assert net.domain("d1").fib.inter[2] == "d2"
+        net.link("d1", "d3", 1)
+        net.add_host("d3", _host(2, 2))
+        assert net.domain("d1").fib.inter[2] == "d3"
+        st = run_push(net, producer, PName(2, 2), 1)
+        assert st.outcome == "completed"
+        assert net.metrics.data_hops == [1]
+
+    def test_remove_host_clears_its_domain(self):
+        net = make_datanet()
+        host = _host(1, 1)
+        net.add_host("d2", host)
+        assert host.domain == net.domain_of(host.pname) == "d2"
+        assert net.remove_host(host.pname) is host
+        assert host.domain is None
+        assert net.host_of(host.pname) is None and net.domain_of(host.pname) is None
 
 
 class TestRouteData:

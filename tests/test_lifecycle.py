@@ -81,10 +81,11 @@ class TestPublish:
         add_book(w, "a", "dune", "herbert")
         w.publish("a", order="top_down")
         rec = w.record("a")
-        assert rec.pname is not None and rec.host is not None
+        host = w.host("a")
+        assert rec.pname is not None and host is not None
         form = w.info["book"].all_forms()[0]
         assert tuple(form.relationship) == (rec.pname,)
-        assert w.datanet.host_of(rec.pname) is rec.host
+        assert host.pname == rec.pname and host.domain == "d1"
 
     def test_duplicate_publish_denied(self):
         w = make_world()

@@ -31,7 +31,6 @@ def golden_raw():
 class TestParsing:
     def test_golden_loads(self):
         sc = load_scenario(str(GOLDEN))
-        assert sc.seed == 7
         assert [c.class_name for c in sc.classes] == ["book", "reader", "person"]
         assert len(sc.script) == 16
 
@@ -160,6 +159,37 @@ class TestParsing:
          lambda raw: raw["script"][6].update(query={"title": {"eq": ""}})),
         ("script[6].query.title",
          lambda raw: raw["script"][6].update(query={"title": {"prefix": 5}})),
+        ("partitions[0].cuts.title",
+         lambda raw: raw["partitions"][0].update(cuts={"title": [5]})),
+        ("partitions[0].cuts.title",
+         lambda raw: raw["partitions"][0].update(cuts={"title": ["n", "a"]})),
+        ("partitions[0].cuts.title",
+         lambda raw: raw["partitions"][0].update(cuts={"title": ["n", "n"]})),
+        ("partitions[0].cuts.title",
+         lambda raw: raw["partitions"][0].update(cuts={"title": "nt"})),
+        ("classes", lambda raw: raw.update(classes=5)),
+        ("domains", lambda raw: raw.update(domains=5)),
+        ("links", lambda raw: raw.update(links=5)),
+        ("classes[0]", lambda raw: raw["classes"].__setitem__(0, 5)),
+        ("partitions[0]", lambda raw: raw["partitions"].__setitem__(0, 5)),
+        ("objects[0]", lambda raw: raw["objects"].__setitem__(0, 5)),
+        ("script[0]", lambda raw: raw["script"].__setitem__(0, 5)),
+        ("objects[0].values", lambda raw: raw["objects"][0].update(values=5)),
+        ("objects[0].policy", lambda raw: raw["objects"][0].update(policy=5)),
+        ("objects[0].view",
+         lambda raw: raw["objects"][0].update(policy={"view": {"classes": 5}})),
+        ("classes[0]", lambda raw: raw["classes"][0].update(defining=5)),
+        ("classes[0]", lambda raw: raw["classes"][0].update(methods=5)),
+        ("domains[3]", lambda raw: raw["domains"].append("d1")),
+        ("domains[3]", lambda raw: raw["domains"].append(5)),
+        ("script[16]", lambda raw: raw["script"].append({"action": ["audit"]})),
+        ("classes[2].methods", lambda raw: raw["classes"][2].update(methods="Talking")),
+        ("classes[0].name", lambda raw: raw["classes"][0].update(name=["book"])),
+        ("partitions[0]", lambda raw: raw["partitions"][0].update({"class": ["book"]})),
+        ("objects[0]", lambda raw: raw["objects"][0].update({"class": ["book"]})),
+        ("objects[0]", lambda raw: raw["objects"][0].update(id=["b1"])),
+        ("script[0]", lambda raw: raw["script"][0].update(object=["b1"])),
+        ("script[6]", lambda raw: raw["script"][6].update({"class": ["book"]})),
     ], ids=["publish-object", "migrate-object", "delete-object", "drop_host-object",
             "pull-consumer", "pull-producer", "push-consumer", "push-producer",
             "interactive-a", "interactive-b", "publish-order", "pull-chunks",
@@ -168,13 +198,30 @@ class TestParsing:
             "discover-entry-text", "object-without-id", "link-one-end",
             "query-list", "range-one-bound", "range-three-bounds", "eq-text-on-integer",
             "eq-negative-integer", "range-text-on-integer", "range-reversed", "eq-empty-text",
-            "prefix-integer"])
+            "prefix-integer", "cuts-integer", "cuts-decreasing", "cuts-repeated",
+            "cuts-string", "classes-integer", "domains-integer", "links-integer",
+            "class-integer", "partition-integer", "object-integer", "step-integer",
+            "values-integer", "policy-integer", "policy-classes-integer",
+            "defining-integer", "methods-integer", "domain-repeated", "domain-integer",
+            "action-list", "methods-string", "class-name-list", "partition-class-list",
+            "object-class-list", "object-id-list", "step-object-list", "discover-class-list"])
     def test_input_that_would_crash_run_is_rejected(self, where, edit):
         raw = golden_raw()
         edit(raw)
         with pytest.raises(ValidationError) as exc:
             parse_scenario(raw)
         assert exc.value.where.startswith(where)
+
+    def test_root_that_is_not_an_object_is_rejected(self):
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario([golden_raw()])
+        assert exc.value.where == "scenario"
+
+    def test_seed_is_accepted_and_ignored(self):
+        raw = golden_raw()
+        raw["seed"] = "x"
+        assert run(parse_scenario(raw)).trace.sha256() == \
+            run(parse_scenario(golden_raw())).trace.sha256()
 
     def test_query_predicates(self):
         q = parse_query({"title": {"prefix": "fo"}, "author": "any",
