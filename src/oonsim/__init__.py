@@ -25,10 +25,8 @@ from .model import (
     eval_query,
     format_pname,
     iname_key,
-    iname_of,
     make_form,
     normalize_value,
-    parse_pname,
     validate_form,
 )
 from .naming import Authority, LocalAllocator
@@ -54,7 +52,6 @@ from .datalayer import (
     run_interactive,
     run_pull,
     run_push,
-    update_fib,
 )
 from .lifecycle import AuditReport, DiscoveryResult, ObjectSpec, World
 from .scenario import (

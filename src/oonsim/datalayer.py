@@ -17,10 +17,6 @@ from .model import AccessPolicy, OonError, PName, format_pname
 from .sim import EventLoop, Metrics, Trace
 
 
-class UnknownInterface(OonError):
-    pass
-
-
 class UnknownDomain(OonError):
     pass
 
@@ -47,7 +43,6 @@ class DataMessage:
 @dataclass
 class ForwardingTable:
     inter: dict = field(default_factory=dict)   # GlobalId -> interface id
-    default: Optional[str] = None
 
 
 # --- hosts -------------------------------------------------------------------
@@ -149,17 +144,8 @@ def route_data(domain: Domain, msg: DataMessage):
         return ("deliver", host)
     ifid = domain.fib.inter.get(gid)
     if ifid is None:
-        ifid = domain.fib.default
-    if ifid is None:
         return ("drop", "no_route")
     return ("forward", ifid)
-
-
-def update_fib(domain: Domain, global_id: int, interface: str) -> None:
-    """Install or overwrite the inter-domain route for one global prefix."""
-    if interface not in domain.interfaces:
-        raise UnknownInterface(f"{interface!r} not an interface of {domain.name!r}")
-    domain.fib.inter[global_id] = interface
 
 
 class DataNetwork:
@@ -240,7 +226,7 @@ class DataNetwork:
         for name in sorted(self.domains):
             if name == owner_domain or name not in parent:
                 continue
-            update_fib(self.domains[name], global_id, parent[name])
+            self.domains[name].fib.inter[global_id] = parent[name]
         self.route_owner[global_id] = owner_domain
 
     # -- message plumbing -----------------------------------------------------

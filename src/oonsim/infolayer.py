@@ -167,13 +167,13 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
 def locate_partitions(pmap: PartitionMap, q: Query) -> frozenset:
     """The cells whose segments intersect the query's key intervals.
 
-    An open lower bound is bisected as if closed, which can add a cell
-    holding no match but never drops one.
+    Every interval is closed below, so a validated query locates at least
+    one cell: every cut at or below its lower bound lies below its upper.
     """
     validate_query(q, pmap.cls)
     per_dim = []
     for (name, kind), cuts in zip(pmap.cls.defining_attributes, pmap.dim_cuts):
-        lo, _, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
+        lo, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
         i_lo = 0 if lo is None else bisect_right(cuts, lo)
         if hi is None:
             i_hi = len(cuts)
@@ -243,10 +243,9 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
         if msg.action is Action.FIND:
             q, who, store, matched = msg.payload, msg.requester, node.store, []
             name, kind = cls.defining_attributes[0]
-            lo, lo_open, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
+            lo, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
             for keys in (node.cells.get(c, ()) for c in local):
-                i = 0 if lo is None else (bisect_right if lo_open else bisect_left)(
-                    keys, lo, key=itemgetter(0))
+                i = 0 if lo is None else bisect_left(keys, lo, key=itemgetter(0))
                 j = len(keys) if hi is None else (bisect_left if hi_open else bisect_right)(
                     keys, hi, key=itemgetter(0))
                 for key in keys[i:j]:
@@ -360,9 +359,6 @@ class InfoNetwork:
         self._next_request += 1
         rec = RequestState(rid, expected, self.loop.now)
         self.requests[rid] = rec
-        if not expected:  # an empty key interval: no cell can hold a match
-            rec.status, rec.completed_at = "complete", self.loop.now
-            return rid
         msg = XFindMessage(
             request_id=rid, action=action, payload=payload, requester=requester,
             targets=targets)

@@ -156,7 +156,8 @@ class World:
 
         bottom_up registers an already instantiated object with its pname
         in the relationship list; top_down registers first, instantiates on
-        affirmation, then fills the pointer in with a modify.
+        affirmation unless a host is already attached, then fills the
+        pointer in with a modify.
         """
         rec = self.record(obj_id)
         spec = rec.spec
@@ -176,7 +177,8 @@ class World:
             raise AlreadyPublished(f"{obj_id!r}: {detail}")
         rec.form = form
         if order == "top_down":
-            self.instantiate(obj_id)
+            if self.host(obj_id) is None:
+                self.instantiate(obj_id)
             updated = make_form(cls, spec.values, policy=spec.policy,
                                 relationship=[rec.pname])
             detail = self._action(spec, Action.MODIFY, updated)
@@ -256,7 +258,7 @@ class World:
     def _live_host(self, obj_id: str) -> ObjectHost:
         host = self.host(obj_id)
         if host is None:
-            raise NotInstantiated(f"{obj_id!r}")
+            raise NotInstantiated(f"{obj_id!r} has no live host")
         return host
 
     def pull(self, consumer_id: str, producer: PName, chunks: int,
@@ -277,6 +279,4 @@ class World:
         domains = self.datanet.domains.values()
         m.fib_inter_size = max((len(d.fib.inter) for d in domains), default=0)
         m.fib_intra_size = max((len(d.hosts) for d in domains), default=0)
-        m.irn_store_sizes = [s for cn in sorted(self.info)
-                             for s in self.info[cn].store_sizes()]
         return m

@@ -52,10 +52,8 @@ class InvalidRange(OonError):
     pass
 
 
-class ParseError(OonError):
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
-        self.position = position
+class KindMismatch(OonError):
+    """A value whose type is not its attribute's kind."""
 
 
 class AttributeKind(Enum):
@@ -71,12 +69,12 @@ def normalize_value(raw: Value, kind: AttributeKind) -> str:
     """
     if kind is AttributeKind.TEXT:
         if not isinstance(raw, str):
-            raise TypeError(f"text attribute expects str, got {type(raw).__name__}")
+            raise KindMismatch(f"text attribute expects str, got {type(raw).__name__}")
         if not raw:
             raise EmptyText("empty text value")
         return raw.casefold()
     if not isinstance(raw, int) or isinstance(raw, bool):
-        raise TypeError(f"integer attribute expects int, got {type(raw).__name__}")
+        raise KindMismatch(f"integer attribute expects int, got {type(raw).__name__}")
     if raw < 0 or raw > U64_MAX:
         raise IntegerOutOfRange(f"{raw} outside [0, 2^64-1]")
     return f"{raw:0{INT_KEY_WIDTH}d}"
@@ -162,31 +160,6 @@ def format_pname(p: PName) -> str:
     return f"pn:{p.global_id:016x}/{p.local_id:016x}"
 
 
-_HEX_DIGITS = frozenset("0123456789abcdef")
-
-
-def parse_pname(text: str) -> PName:
-    """Parse the canonical text form; inverse of :func:`format_pname`."""
-    if not text.startswith("pn:"):
-        raise ParseError("expected 'pn:' prefix", 0)
-    expected_len = 3 + 16 + 1 + 16
-    for i in range(3, min(len(text), 3 + 16)):
-        if text[i] not in _HEX_DIGITS:
-            raise ParseError(f"invalid hex digit {text[i]!r}", i)
-    if len(text) < 3 + 16:
-        raise ParseError("truncated global id", len(text))
-    if len(text) < 3 + 17 or text[19] != "/":
-        raise ParseError("expected '/'", 19)
-    for i in range(20, min(len(text), 20 + 16)):
-        if text[i] not in _HEX_DIGITS:
-            raise ParseError(f"invalid hex digit {text[i]!r}", i)
-    if len(text) < expected_len:
-        raise ParseError("truncated local id", len(text))
-    if len(text) > expected_len:
-        raise ParseError("trailing characters", expected_len)
-    return PName(int(text[3:19], 16), int(text[20:36], 16))
-
-
 # --- access policies ---------------------------------------------------------
 
 
@@ -255,7 +228,7 @@ def validate_form(form: InformationalForm, cls: ObjectClass) -> list:
         value = form.description[name]
         try:
             normalize_value(value, kind)
-        except (TypeError, OonError):
+        except OonError:
             violations.append(f"kind mismatch for {name!r}")
             continue
         if i < len(form.iname.values) and form.iname.values[i] != value:
@@ -264,18 +237,12 @@ def validate_form(form: InformationalForm, cls: ObjectClass) -> list:
         if name in form.description:
             try:
                 normalize_value(form.description[name], kind)
-            except (TypeError, OonError):
+            except OonError:
                 violations.append(f"kind mismatch for {name!r}")
     for name in form.description:
         if not cls.declares(name):
             violations.append(f"undeclared attribute {name!r}")
     return violations
-
-
-def iname_of(form: InformationalForm, cls: ObjectClass) -> IName:
-    """Project the description onto the defining attributes in schema order."""
-    return IName(cls.class_name,
-                 tuple(form.description[n] for n in cls.defining_names))
 
 
 def iname_key(cls: ObjectClass, iname: IName) -> tuple:
@@ -318,7 +285,6 @@ class Prefix:
 class Range:
     lo: Value
     hi: Value
-    inclusive: bool = True
 
 
 @dataclass(frozen=True)
@@ -357,7 +323,7 @@ def validate_query(q: Query, cls: ObjectClass) -> None:
     of the attribute's kind and, for a range, has lo <= hi."""
     if q.class_name != cls.class_name:
         raise ClassMismatch(f"query class {q.class_name!r} is not {cls.class_name!r}")
-    for name, _, lo, _, hi, _ in _intervals(q, cls):
+    for name, _, lo, hi, _ in _intervals(q, cls):
         if hi is not None and lo > hi:
             raise InvalidRange(f"range on {name!r} has lo > hi")
 
@@ -368,12 +334,12 @@ def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
     if q.class_name != cls.class_name or form.iname.class_name != cls.class_name:
         raise ClassMismatch(
             f"query class {q.class_name!r} vs form class {form.iname.class_name!r}")
-    for name, kind, lo, lo_open, hi, hi_open in _intervals(q, cls):
+    for name, kind, lo, hi, hi_open in _intervals(q, cls):
         raw = form.description.get(name)
         if raw is None:
             return False
         key = normalize_value(raw, kind)
-        if lo is not None and (key <= lo if lo_open else key < lo):
+        if key < lo:
             return False
         if hi is not None and (key >= hi if hi_open else key > hi):
             return False
@@ -381,7 +347,7 @@ def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
 
 
 def _intervals(q: Query, cls: ObjectClass) -> tuple:
-    """(attribute, kind, lo, lo_open, hi, hi_open) per non-ANY predicate.
+    """(attribute, kind, lo, hi, hi_open) per non-ANY predicate.
 
     Built on a query's first validation or evaluation against a class and
     kept on the immutable query, so every form a find evaluates reuses them.
@@ -407,24 +373,23 @@ def _increment_key(key: str) -> Optional[str]:
 
 
 def predicate_interval(pred: Predicate, kind: AttributeKind):
-    """Exact key interval of a predicate: (lo, lo_open, hi, hi_open).
+    """Exact key interval of a predicate: (lo, hi, hi_open).
 
-    A normalized key satisfies the predicate iff it lies in the interval;
-    None bounds are unbounded.  This is the one definition of what Eq,
-    Prefix and Range mean, shared by matching and location.
+    A normalized key satisfies the predicate iff it lies in the interval,
+    which is closed below; None bounds are unbounded, and only ANY has no
+    lower bound.  This is the one definition of what Eq, Prefix and Range
+    mean, shared by matching and location.
     """
     if isinstance(pred, AnyValue):
-        return (None, False, None, False)
+        return (None, None, False)
     if isinstance(pred, Eq):
         k = normalize_value(pred.value, kind)
-        return (k, False, k, False)
+        return (k, k, False)
     if isinstance(pred, Prefix):
         if not isinstance(pred.text, str):
-            raise TypeError(f"prefix expects str, got {type(pred.text).__name__}")
+            raise KindMismatch(f"prefix expects str, got {type(pred.text).__name__}")
         p = pred.text.casefold()
-        return (p, False, _increment_key(p), True)
+        return (p, _increment_key(p), True)
     if isinstance(pred, Range):
-        is_open = not pred.inclusive
-        return (normalize_value(pred.lo, kind), is_open,
-                normalize_value(pred.hi, kind), is_open)
+        return (normalize_value(pred.lo, kind), normalize_value(pred.hi, kind), False)
     raise TypeError(f"unknown predicate {pred!r}")

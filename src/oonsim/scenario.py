@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .infolayer import Requester, check_access
-from .lifecycle import ObjectSpec, World
+from .lifecycle import NotInstantiated, ObjectSpec, World
 from .model import (
     ANY,
     AccessPolicy,
@@ -143,11 +143,11 @@ def parse_query(raw: dict, cls: ObjectClass, where: str = "query") -> Query:
     query = Query(cls.class_name, tuple(preds))
     try:
         validate_query(query, cls)  # keeps the intervals on the query for the run
-    except (TypeError, OonError):
+    except OonError:
         for name, pred in preds:  # name the first predicate that fails alone
             try:
                 validate_query(Query(cls.class_name, ((name, pred),)), cls)
-            except (TypeError, OonError) as exc:
+            except OonError as exc:
                 raise ValidationError(f"{where}.{name}", str(exc)) from exc
         raise
     return query
@@ -247,6 +247,9 @@ def parse_scenario(raw: dict) -> Scenario:
         for key in ("chunks", "turns"):
             if key in step:
                 _int(step[key], f"{where}.{key}")
+        if action == "pull" and not isinstance(step.get("reply_to", ""), str):
+            raise ValidationError(f"{where}.reply_to",
+                                  f"expected a string, got {step['reply_to']!r}")
         if action == "publish":
             if step.get("order", "bottom_up") not in ("bottom_up", "top_down"):
                 raise ValidationError(where, f"bad publish order {step['order']!r}")
@@ -256,6 +259,9 @@ def parse_scenario(raw: dict) -> Scenario:
         if action == "discover":
             cname = _known(step.get("class"), by_name, where, "class")
             _check_entry(irns, cname, _int(step.get("entry", 0), f"{where}.entry"), where)
+            if not isinstance(step.get("requester_class", ""), str):
+                raise ValidationError(f"{where}.requester_class",
+                                      f"expected a string, got {step['requester_class']!r}")
             step = dict(step, query=parse_query(step.get("query", {}), by_name[cname],
                                                 f"{where}.query"))
         if action == "migrate":
@@ -301,47 +307,55 @@ def run(scenario: Scenario) -> RunResult:
     result = RunResult(metrics=world.metrics, trace=world.trace, world=world)
     for step in scenario.script:
         action = step["action"]
-        if action == "publish":
-            order = step.get("order", "bottom_up")
-            try:
+        try:
+            if action == "publish":
+                order = step.get("order", "bottom_up")
                 if order == "bottom_up" and world.host(step["object"]) is None:
                     world.instantiate(step["object"])
                 world.publish(step["object"], order)
-            except OonError as exc:
-                world.trace.log(f"ERROR publish {step['object']} {exc}")
-        elif action == "discover":
-            result.discoveries.append(
-                world.discover(step["query"], entry=int(step.get("entry", 0)),
-                               requester_class=step.get("requester_class", "anonymous")))
-        elif action in ("pull", "push", "interactive"):
-            result.sessions.append(_run_session(world, step))
-        elif action == "migrate":
-            world.migrate(step["object"], step["to"])
-        elif action == "delete":
-            world.delete(step["object"])
-        elif action == "drop_host":
-            world.drop_host(step["object"])
-        elif action == "audit":
-            report = world.audit_consistency()
-            result.audits.append(report)
-            world.trace.log(f"AUDIT dangling={len(report.dangling)} "
-                            f"orphans={len(report.orphans)}")
+            elif action == "discover":
+                result.discoveries.append(
+                    world.discover(step["query"], entry=int(step.get("entry", 0)),
+                                   requester_class=step.get("requester_class", "anonymous")))
+            elif action in ("pull", "push", "interactive"):
+                result.sessions.append(_run_session(world, step))
+            elif action == "migrate":
+                world.migrate(step["object"], step["to"])
+            elif action == "delete":
+                world.delete(step["object"])
+            elif action == "drop_host":
+                world.drop_host(step["object"])
+            elif action == "audit":
+                report = world.audit_consistency()
+                result.audits.append(report)
+                world.trace.log(f"AUDIT dangling={len(report.dangling)} "
+                                f"orphans={len(report.orphans)}")
+        except OonError as exc:
+            ids = [step[key] for key in _STEP_OBJECTS[action]]
+            world.trace.log(" ".join(["ERROR", action, *ids, str(exc)]))
         world.loop.run()
     world.finalize_metrics()
     return result
 
 
+def _pname_of(world: World, obj_id: str):
+    """A session peer's p-name; a peer never instantiated has none."""
+    pname = world.record(obj_id).pname
+    if pname is None:
+        raise NotInstantiated(f"{obj_id!r} was never instantiated")
+    return pname
+
+
 def _run_session(world: World, step: dict):
     action = step["action"]
     if action == "pull":
-        producer = world.record(step["producer"]).pname
-        return world.pull(step["consumer"], producer, step.get("chunks", 1),
+        return world.pull(step["consumer"], _pname_of(world, step["producer"]),
+                          step.get("chunks", 1),
                           reply_to=step.get("reply_to", "SinkDataFrom"))
     if action == "push":
-        consumer = world.record(step["consumer"]).pname
-        return world.push(step["producer"], consumer, step.get("chunks", 1))
-    producer_b = world.record(step["b"]).pname
-    return world.interactive(step["a"], producer_b, step.get("turns", 1))
+        return world.push(step["producer"], _pname_of(world, step["consumer"]),
+                          step.get("chunks", 1))
+    return world.interactive(step["a"], _pname_of(world, step["b"]), step.get("turns", 1))
 
 
 # --- workload generation and the brute-force oracle --------------------------

@@ -93,7 +93,6 @@ class Metrics:
         self.xfind_hops = []         # inter-relay hops per processed xfind
         self.fib_inter_size = 0      # max over routers at end of run
         self.fib_intra_size = 0
-        self.irn_store_sizes = []
 
     def messages_sent(self) -> int:
         return sum(self.sent.values())

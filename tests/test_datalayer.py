@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from oonsim import (
     DataMessage,
     ObjectHost,
@@ -11,10 +9,8 @@ from oonsim import (
     run_interactive,
     run_pull,
     run_push,
-    update_fib,
 )
-from oonsim import datalayer
-from oonsim.datalayer import Domain, UnknownInterface
+from oonsim.datalayer import Domain
 from oonsim.model import AccessPolicy, Rule
 
 from conftest import make_datanet
@@ -48,17 +44,27 @@ class TestPlacement:
         assert st.outcome == "completed"
         assert net.metrics.drops_by_cause == {}
 
-    def test_repeated_install_for_the_same_owner_updates_no_fib(self, monkeypatch):
+    def test_repeated_install_for_the_same_owner_updates_no_fib(self):
         net = make_datanet()
         net.add_host("d3", _host(2, 1))
-        calls = []
-        monkeypatch.setattr(datalayer, "update_fib", lambda *args: calls.append(args))
+        writes = []
+
+        class RecordingTable(dict):
+            def __init__(self, name, entries):
+                super().__init__(entries)
+                self.name = name
+
+            def __setitem__(self, gid, via):
+                writes.append((self.name, gid, via))
+                super().__setitem__(gid, via)
+
+        for d in net.domains.values():
+            d.fib.inter = RecordingTable(d.name, d.fib.inter)
         net.install_routes(2, "d3")
         net.add_host("d3", _host(2, 2))
-        assert calls == []
+        assert writes == []
         net.install_routes(2, "d1")
-        assert [(d.name, gid, via) for d, gid, via in calls] == [("d2", 2, "d1"),
-                                                                ("d3", 2, "d2")]
+        assert writes == [("d2", 2, "d1"), ("d3", 2, "d2")]
 
     def test_new_link_reroutes_the_next_host_under_a_routed_prefix(self):
         net = make_datanet()                    # d1 - d2 - d3
@@ -103,24 +109,16 @@ class TestRouteData:
         assert route_data(self.domain, self._msg(1, 2)) == ("drop", "no_such_local")
 
     def test_foreign_prefix_uses_fib(self):
-        update_fib(self.domain, 7, "d2")
+        self.domain.fib.inter[7] = "d2"
         assert route_data(self.domain, self._msg(7, 1)) == ("forward", "d2")
 
     def test_foreign_prefix_without_route_drops(self):
         assert route_data(self.domain, self._msg(7, 1)) == ("drop", "no_route")
 
-    def test_default_route_fallback(self):
-        self.domain.fib.default = "d2"
-        assert route_data(self.domain, self._msg(7, 1)) == ("forward", "d2")
-
-    def test_update_fib_unknown_interface(self):
-        with pytest.raises(UnknownInterface):
-            update_fib(self.domain, 7, "d9")
-
     def test_fib_size_tracks_prefixes_not_objects(self):
         # 3 providers x 100 locals each: the table still has 3 entries
         for gid in (10, 11, 12):
-            update_fib(self.domain, gid, "d2")
+            self.domain.fib.inter[gid] = "d2"
             for lid in range(100):
                 assert route_data(self.domain, self._msg(gid, lid)) == \
                     ("forward", "d2")
@@ -283,11 +281,11 @@ class TestRoutingProperties:
                     payload=bytes(rng.randrange(256) for _ in range(8)))
                 assert route_data(domain, mutated) == want
 
-    def test_default_route_loop_ends_at_hop_limit(self):
+    def test_routing_loop_ends_at_hop_limit(self):
         net = make_datanet()
         producer = _wire(net, [("d1", 1, 1)])[(1, 1)]
-        net.domain("d1").fib.default = "d2"
-        net.domain("d2").fib.default = "d1"
+        net.domain("d1").fib.inter[99] = "d2"
+        net.domain("d2").fib.inter[99] = "d1"
         st = run_push(net, producer, PName(99, 1), 1)
         assert st.outcome == "failed"
         router_visits = [line for line in net.trace.lines if " DATA " in line]

@@ -4,10 +4,11 @@ The reference is written here from the predicate definitions (``==``,
 ``str.startswith`` and ordered comparison of normalized keys), not from
 ``predicate_interval``, so it checks the one predicate definition that
 matching and location share.  Cuts are random, and the relay-node count
-runs from 1 to more than the number of cells.  The same finds check the
-forwarding: each relay node serves a request at most once, every node
-the request awaits responds, and hops stay within the grid's bound.  A
-second test interleaves register, modify, delete and find, and checks
+runs from 1 to more than the number of cells.  Every query locates at
+least one cell, because every key interval is closed below.  The same
+finds check the forwarding: each relay node serves a request at most
+once, every node the request awaits responds, and hops stay within the
+grid's bound.  A second test interleaves register, modify, delete and find, and checks
 each node's per-cell key index against its store after every step.
 """
 
@@ -25,6 +26,7 @@ from oonsim import (
     Range,
     Requester,
     iname_key,
+    locate_partitions,
     make_form,
     normalize_value,
     result_keys,
@@ -57,7 +59,7 @@ def values(kind, pool):
 
 @st.composite
 def predicates(draw, kind, pool):
-    choice = draw(st.sampled_from(("eq", "prefix", "range", "xrange", "any")))
+    choice = draw(st.sampled_from(("eq", "prefix", "range", "any")))
     if choice == "eq":
         return Eq(draw(values(kind, pool)))
     if choice == "prefix":
@@ -71,7 +73,7 @@ def predicates(draw, kind, pool):
         return ANY
     lo, hi = sorted((draw(values(kind, pool)), draw(values(kind, pool))),
                     key=lambda v: normalize_value(v, kind))
-    return Range(lo, hi, inclusive=choice == "range")
+    return Range(lo, hi)
 
 
 def value_pools(name_cuts, rank_cuts, rows) -> dict:
@@ -114,16 +116,16 @@ def reference_match(pred, raw, kind) -> bool:
     if isinstance(pred, Prefix):
         return key.startswith(pred.text.casefold())
     lo, hi = normalize_value(pred.lo, kind), normalize_value(pred.hi, kind)
-    return lo <= key <= hi if pred.inclusive else lo < key < hi
+    return lo <= key <= hi
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(find_cases())
-# An exclusive range ending on a cut, over fewer relay nodes than cells.
+# A range ending on a cut, over fewer relay nodes than cells.
 @example(({"name": ["n"], "rank": []}, 1,
           [{"name": "m", "rank": 1}, {"name": "n", "rank": 2}],
-          (("name", Range("a", "n", inclusive=False)),), 0))
+          (("name", Range("a", "n")),), 0))
 # A prefix's upper bound is open: "b" does not start with "a".
 @example(({"name": [], "rank": []}, 1,
           [{"name": "a", "rank": 1}, {"name": "ab", "rank": 2}, {"name": "b", "rank": 3}],
@@ -134,9 +136,9 @@ def reference_match(pred, raw, kind) -> bool:
           (("name", Prefix("\U0010ffff")),), 1))
 # A request entering at a node that owns no cell (more nodes than cells).
 @example(({"name": [], "rank": []}, 2, [], (), 1))
-# An empty exclusive range on a cut locates no cell at all.
+# A one-value range that case-folds onto a cut.
 @example(({"name": ["s"], "rank": []}, 1, [{"name": "s", "rank": 0}],
-          (("name", Range("S", "S", inclusive=False)),), 0))
+          (("name", Range("S", "S")),), 0))
 # Six cells over three nodes, where a walk over the cell grid reached
 # one node twice.
 @example(({"name": ["a", "s"], "rank": ["00000000000000000000"]}, 3, [], (), 0))
@@ -151,6 +153,7 @@ def test_networked_find_equals_reference(case):
         if net.request(rid).detail == "Registered":
             stored.append(form)
     query = Query("item", preds)
+    assert locate_partitions(net.pmap, query)
     hops_before = len(net.metrics.xfind_hops)
     rid = net.issue_request(entry, Action.FIND, query, REQ)
     net.loop.run()

@@ -295,5 +295,4 @@ class TestAuditAndDelete:
         _populate(w, rng, 12)
         m = w.finalize_metrics()
         assert m.fib_inter_size <= 3  # at most one prefix per other domain
-        assert sum(m.irn_store_sizes) == 12
         assert m.conservation_holds()

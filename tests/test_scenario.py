@@ -22,6 +22,7 @@ from test_lifecycle import make_world
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 GOLDEN = SCENARIOS / "golden.json"
+DATA = SCENARIOS.parent / "tests" / "data"
 
 
 def golden_raw():
@@ -190,6 +191,9 @@ class TestParsing:
         ("objects[0]", lambda raw: raw["objects"][0].update(id=["b1"])),
         ("script[0]", lambda raw: raw["script"][0].update(object=["b1"])),
         ("script[6]", lambda raw: raw["script"][6].update({"class": ["book"]})),
+        ("script[9].reply_to", lambda raw: raw["script"][9].update(reply_to=5)),
+        ("script[6].requester_class",
+         lambda raw: raw["script"][6].update(requester_class=5)),
     ], ids=["publish-object", "migrate-object", "delete-object", "drop_host-object",
             "pull-consumer", "pull-producer", "push-consumer", "push-producer",
             "interactive-a", "interactive-b", "publish-order", "pull-chunks",
@@ -204,7 +208,8 @@ class TestParsing:
             "values-integer", "policy-integer", "policy-classes-integer",
             "defining-integer", "methods-integer", "domain-repeated", "domain-integer",
             "action-list", "methods-string", "class-name-list", "partition-class-list",
-            "object-class-list", "object-id-list", "step-object-list", "discover-class-list"])
+            "object-class-list", "object-id-list", "step-object-list", "discover-class-list",
+            "pull-reply_to-integer", "discover-requester_class-integer"])
     def test_input_that_would_crash_run_is_rejected(self, where, edit):
         raw = golden_raw()
         edit(raw)
@@ -278,6 +283,61 @@ class TestRun:
         ]
         result = run(parse_scenario(raw))
         assert "ERROR publish b1" in result.trace.text()
+
+    # b4 is a book at d2 that no step publishes.
+    @pytest.mark.parametrize("step, error", [
+        ({"action": "migrate", "object": "b4", "to": "d1"},
+         "ERROR migrate b4 'b4' has no live host"),
+        ({"action": "drop_host", "object": "b4"},
+         "ERROR drop_host b4 'b4' has no live host"),
+        ({"action": "pull", "consumer": "b4", "producer": "b1"},
+         "ERROR pull b4 b1 'b4' has no live host"),
+        ({"action": "interactive", "a": "b4", "b": "p2"},
+         "ERROR interactive b4 p2 'b4' has no live host"),
+        ({"action": "pull", "consumer": "r1", "producer": "b4"},
+         "ERROR pull r1 b4 'b4' was never instantiated"),
+        ({"action": "push", "producer": "b2", "consumer": "b4"},
+         "ERROR push b2 b4 'b4' was never instantiated"),
+        ({"action": "interactive", "a": "p1", "b": "b4"},
+         "ERROR interactive p1 b4 'b4' was never instantiated"),
+    ], ids=["migrate-unpublished", "drop_host-unpublished", "pull-unpublished-consumer",
+            "interactive-unpublished-a", "pull-uninstantiated-producer",
+            "push-uninstantiated-consumer", "interactive-uninstantiated-b"])
+    def test_failing_step_is_an_error_line_not_a_crash(self, step, error):
+        raw = golden_raw()
+        raw["objects"].append({"id": "b4", "class": "book", "domain": "d2",
+                               "values": {"title": "ubik", "author": "dick"}})
+        raw["script"].append(step)
+        result = run(parse_scenario(raw))
+        golden = (DATA / "golden_trace.log").read_text().splitlines()
+        assert result.trace.lines[:-1] == golden
+        assert result.trace.lines[-1].split(" ", 1)[1] == error
+        assert result.metrics.conservation_holds()
+
+    def test_defining_value_of_the_wrong_kind_is_an_error_line(self):
+        raw = golden_raw()
+        raw["objects"][0]["values"]["title"] = 5
+        result = run(parse_scenario(raw))
+        assert "t=0 ERROR publish b1 text attribute expects str, got int" in result.trace.lines
+        assert result.world.host("b1") is None
+
+    def test_top_down_publish_over_a_live_host_attaches_no_second_host(self):
+        raw = golden_raw()
+        raw["objects"].append({"id": "b4", "class": "book", "domain": "d2",
+                               "values": {"title": "foundation", "author": "asimov"}})
+        raw["script"] = [
+            {"action": "publish", "object": "b1"},
+            {"action": "publish", "object": "b4"},
+            {"action": "delete", "object": "b1"},
+            {"action": "publish", "object": "b4", "order": "top_down"},
+            {"action": "audit"},
+        ]
+        result = run(parse_scenario(raw))
+        world = result.world
+        assert "ERROR publish b4 'b4': AlreadyExists" in result.trace.text()
+        assert list(world.datanet.hosts) == [world.registry["b4"].pname]
+        assert world.info["book"].all_forms()[0].relationship == [world.registry["b4"].pname]
+        assert result.trace.lines[-1].endswith("AUDIT dangling=0 orphans=0")
 
 
 class TestWorkload:
