@@ -7,8 +7,10 @@ breadth-first tree of the relay nodes, computed from nothing but the static
 partition map, so each node serves it at most once; responses (Results)
 climb the same tree's parent pointers back to the entry node.  No routing
 state is ever exchanged between nodes.  Each node keeps its store's keys
-sorted per cell, so a find reads only its target cells, bisected on the
-first dimension.
+sorted per cell, so a find reads only its target cells.  A cell that lies
+wholly inside the query is covered, and its forms pass on the access check
+alone; elsewhere a find bisects on the first dimension and reads defining
+values from each stored key.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .model import (
     eval_query,
     iname_key,
     predicate_interval,
+    query_intervals,
     validate_form,
     validate_query,
 )
@@ -230,6 +233,22 @@ def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> 
     return [(nid, frozenset(groups[nid])) for nid in sorted(groups)]
 
 
+def cell_covered(pmap: PartitionMap, q: Query, cell: tuple) -> bool:
+    """True iff every form the cell can hold matches: each predicate is on a
+    defining attribute, and the segment's lower cut is at or above its lo
+    and its upper cut at or below its hi.  The first segment has no lower
+    cut and the last no upper one."""
+    for _, _, lo, hi, _, pos in query_intervals(q, pmap.cls):
+        if pos is None:
+            return False
+        cuts, s = pmap.dim_cuts[pos], cell[pos]
+        if s == 0 or cuts[s - 1] < lo:
+            return False
+        if hi is not None and (s == len(cuts) or cuts[s] > hi):
+            return False
+    return True
+
+
 def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
     """Serve the locally owned targets and split the rest over tree children.
 
@@ -244,13 +263,14 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
             q, who, store, matched = msg.payload, msg.requester, node.store, []
             name, kind = cls.defining_attributes[0]
             lo, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
-            for keys in (node.cells.get(c, ()) for c in local):
+            for cell in local:
+                keys, covered = node.cells.get(cell, ()), cell_covered(pmap, q, cell)
                 i = 0 if lo is None else bisect_left(keys, lo, key=itemgetter(0))
                 j = len(keys) if hi is None else (bisect_left if hi_open else bisect_right)(
                     keys, hi, key=itemgetter(0))
                 for key in keys[i:j]:
                     form = store[key]
-                    if eval_query(q, form, cls) and check_access(form, who, "view"):
+                    if (covered or eval_query(q, form, cls)) and check_access(form, who, "view"):
                         matched.append(key)
             results = _results(node, msg, forms=tuple(store[k] for k in sorted(matched)))
         else:

@@ -22,7 +22,7 @@ from .datalayer import (
     run_pull,
     run_push,
 )
-from .infolayer import Action, InfoNetwork, Requester, SegmentCuts
+from .infolayer import Action, InfoNetwork, InvalidPayload, Requester, SegmentCuts
 from .model import (
     AccessPolicy,
     InformationalForm,
@@ -33,7 +33,8 @@ from .model import (
     Query,
     iname_key,
     make_form,
-    normalize_value,
+    normalize_value,  # noqa: F401 -- unused here; bench/layers.py wraps this name
+    validate_form,
 )
 from .naming import Authority
 from .sim import EventLoop, Metrics, Trace
@@ -137,14 +138,16 @@ class World:
         return self.datanet.host_of(self.record(obj_id).pname)
 
     def instantiate(self, obj_id: str):
-        """Mint a pname and attach its host, which routes its prefix there."""
+        """Mint a pname and attach its host, which routes its prefix there;
+        a spec whose form the relay node would reject gets neither."""
         rec = self.record(obj_id)
         spec = rec.spec
         if rec.domain not in self.datanet.domains:
             raise UnknownDomain(f"{rec.domain!r}")
         cls = self.classes[spec.class_name]
-        for name in cls.defining_names:
-            normalize_value(spec.values[name], cls.kind_of(name))
+        violations = validate_form(make_form(cls, spec.values), cls)
+        if violations:
+            raise InvalidPayload("; ".join(violations))
         pname = self._allocators[rec.domain].mint_pname()
         host = ObjectHost(pname, spec.class_name, cls.methods, spec.policy)
         self.datanet.add_host(rec.domain, host)

@@ -323,22 +323,26 @@ def validate_query(q: Query, cls: ObjectClass) -> None:
     of the attribute's kind and, for a range, has lo <= hi."""
     if q.class_name != cls.class_name:
         raise ClassMismatch(f"query class {q.class_name!r} is not {cls.class_name!r}")
-    for name, _, lo, hi, _ in _intervals(q, cls):
+    for name, _, lo, hi, _, _ in query_intervals(q, cls):
         if hi is not None and lo > hi:
             raise InvalidRange(f"range on {name!r} has lo > hi")
 
 
 def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
     """True iff the form's normalized values lie in every non-ANY
-    predicate's interval; an absent value satisfies nothing but ANY."""
+    predicate's interval; an absent value satisfies nothing but ANY.
+    Defining keys come from the name, which a valid form's description matches."""
     if q.class_name != cls.class_name or form.iname.class_name != cls.class_name:
         raise ClassMismatch(
             f"query class {q.class_name!r} vs form class {form.iname.class_name!r}")
-    for name, kind, lo, hi, hi_open in _intervals(q, cls):
-        raw = form.description.get(name)
-        if raw is None:
+    defining = iname_key(cls, form.iname)
+    for name, kind, lo, hi, hi_open, pos in query_intervals(q, cls):
+        if pos is not None:
+            key = defining[pos]
+        elif (raw := form.description.get(name)) is None:
             return False
-        key = normalize_value(raw, kind)
+        else:
+            key = normalize_value(raw, kind)
         if key < lo:
             return False
         if hi is not None and (key >= hi if hi_open else key > hi):
@@ -346,19 +350,21 @@ def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
     return True
 
 
-def _intervals(q: Query, cls: ObjectClass) -> tuple:
-    """(attribute, kind, lo, hi, hi_open) per non-ANY predicate.
+def query_intervals(q: Query, cls: ObjectClass) -> tuple:
+    """(attribute, kind, lo, hi, hi_open, pos) per non-ANY predicate, where
+    pos is the attribute's index among the defining ones, or None.
 
     Built on a query's first validation or evaluation against a class and
     kept on the immutable query, so every form a find evaluates reuses them.
     """
     cached = q.__dict__.get("_intervals")
     if cached is None or cached[0] is not cls:
-        rows = []
+        rows, defining = [], cls.defining_names
         for name, pred in q.predicates:
             kind = cls.kind_of(name)
             if not isinstance(pred, AnyValue):
-                rows.append((name, kind) + predicate_interval(pred, kind))
+                pos = defining.index(name) if name in defining else None
+                rows.append((name, kind) + predicate_interval(pred, kind) + (pos,))
         cached = q.__dict__["_intervals"] = (cls, tuple(rows))
     return cached[1]
 

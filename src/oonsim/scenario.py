@@ -246,7 +246,7 @@ def parse_scenario(raw: dict) -> Scenario:
             _known(step[key], objects, where, "object")
         for key in ("chunks", "turns"):
             if key in step:
-                _int(step[key], f"{where}.{key}")
+                _int(step[key], f"{where}.{key}", minimum=1)
         if action == "pull" and not isinstance(step.get("reply_to", ""), str):
             raise ValidationError(f"{where}.reply_to",
                                   f"expected a string, got {step['reply_to']!r}")

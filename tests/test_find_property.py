@@ -9,7 +9,10 @@ least one cell, because every key interval is closed below.  The same
 finds check the forwarding: each relay node serves a request at most
 once, every node the request awaits responds, and hops stay within the
 grid's bound.  A second test interleaves register, modify, delete and find, and checks
-each node's per-cell key index against its store after every step.
+each node's per-cell key index against its store after every step.  Two more
+check the shortcuts of a relay node's scan against the matcher itself: every
+stored form in a cell judged covered matches, and reading defining keys off
+the name agrees with normalizing the description.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -31,6 +34,9 @@ from oonsim import (
     normalize_value,
     result_keys,
 )
+
+from oonsim.infolayer import cell_covered
+from oonsim.model import eval_query, query_intervals
 
 from conftest import make_info
 
@@ -227,3 +233,59 @@ def test_cell_index_tracks_the_store_under_churn(case):
             indexed = [(cell, k) for cell, keys in node.cells.items() for k in keys]
             assert sorted(k for _, k in indexed) == sorted(node.store)
             assert all(net.pmap.cell_of_key(k) == cell for cell, k in indexed)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(find_cases())
+# A range whose bounds enclose both cuts of the middle name segment.
+@example(({"name": ["b", "o"], "rank": []}, 1,
+          [{"name": "b", "rank": 1}, {"name": "nz", "rank": 2}, {"name": "s", "rank": 3}],
+          (("name", Range("a", "o")),), 0))
+# A prefix of only U+10FFFF has no upper bound, so the last segment is inside.
+@example(({"name": ["\U0010ffff"], "rank": []}, 1,
+          [{"name": "\U0010ffff", "rank": 1}, {"name": "\U0010ffffa", "rank": 2}],
+          (("name", Prefix("\U0010ffff")),), 0))
+# A range that ends on the upper cut of an integer segment.
+@example(({"name": [], "rank": ["00000000000000000003", "00000000000000000009"]}, 2,
+          [{"name": "a", "rank": 3}, {"name": "a", "rank": 8}, {"name": "a", "rank": 9}],
+          (("rank", Range(2, 9)),), 0))
+def test_every_form_in_a_covered_cell_matches(case):
+    cuts, irn_count, rows, preds, _ = case
+    net = make_info(ITEM, cuts, irn_count)
+    for row in rows:
+        net.issue_request(0, Action.REGISTER, make_form(ITEM, row), REQ)
+        net.loop.run()
+    query = Query("item", preds)
+    for node in net.nodes:
+        for cell, keys in node.cells.items():
+            if cell_covered(net.pmap, query, cell):
+                assert all(eval_query(query, node.store[k], ITEM) for k in keys)
+
+
+def eval_on_description(q, form, cls) -> bool:
+    """The matcher that normalizes every constrained description value."""
+    for name, kind, lo, hi, hi_open, _ in query_intervals(q, cls):
+        raw = form.description.get(name)
+        if raw is None:
+            return False
+        key = normalize_value(raw, kind)
+        if key < lo or (hi is not None and (key >= hi if hi_open else key > hi)):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(find_cases())
+# Case folding: "S" and "ß" are stored under "s" and "ss".
+@example(({"name": [], "rank": []}, 1, [{"name": "S", "rank": 1}, {"name": "ß", "rank": 2}],
+          (("name", Range("s", "ss")),), 0))
+# A predicate on each defining attribute and on an absent extra one.
+@example(({"name": [], "rank": []}, 1, [{"name": "a", "rank": 7, "size": 3}],
+          (("rank", Eq(7)), ("name", Prefix("a")), ("note", Prefix("a"))), 0))
+def test_matching_on_the_stored_key_equals_matching_on_the_description(case):
+    _, _, rows, preds, _ = case
+    query = Query("item", preds)
+    for row in rows:
+        form = make_form(ITEM, row)
+        assert eval_query(query, form, ITEM) == eval_on_description(query, form, ITEM)

@@ -33,7 +33,7 @@ from oonsim.infolayer import (
     WrongOwner,
     XFindMessage,
 )
-from oonsim.model import AccessPolicy, KindMismatch, OonError, Rule
+from oonsim.model import OPEN_POLICY, AccessPolicy, KindMismatch, OonError, Rule
 
 from conftest import BOOK, make_info
 
@@ -202,20 +202,25 @@ class TestHandleXfind:
 
 class TestNarrowedScan:
     """A find evaluates only the stored forms that could match: those in
-    its local target cells whose first key lies in the query's interval."""
+    its local target cells whose first key lies in the query's interval.
+    In a cell that lies wholly inside the query, it evaluates none."""
 
     TITLES = ("dune", "emma", "ubik", "zorba")
     AUTHORS = ("asimov", "herbert", "tolkien", "zelazny")
+    HIDDEN = AccessPolicy(view_rule=Rule("deny_all"))
 
-    def _find(self, monkeypatch, query):
+    def _find(self, monkeypatch, query, hidden=()):
         # one node owns all four cells of the 2x2 grid, which hold
-        # every title/author pair
+        # every title/author pair; pair i has i pages, and the pairs in
+        # hidden deny every view
         net = make_info(irn_count=1)
-        for title in self.TITLES:
-            for author in self.AUTHORS:
-                form = make_form(BOOK, {"title": title, "author": author})
-                net.issue_request(0, Action.REGISTER, form, REQ)
-                net.loop.run()
+        pairs = [(t, a) for t in self.TITLES for a in self.AUTHORS]
+        for pages, (title, author) in enumerate(pairs):
+            policy = self.HIDDEN if (title, author) in hidden else OPEN_POLICY
+            form = make_form(BOOK, {"title": title, "author": author, "pages": pages},
+                             policy=policy)
+            net.issue_request(0, Action.REGISTER, form, REQ)
+            net.loop.run()
         evaluated = []
 
         def counting(q, form, cls):
@@ -241,9 +246,23 @@ class TestNarrowedScan:
         assert len(evaluated) == len(forms) == len(self.TITLES) * 2
 
     def test_results_stay_in_key_order_across_cells(self, monkeypatch):
+        # every cell is covered by a query with no predicate
         _, forms, evaluated = self._find(monkeypatch, Query("book", {}))
         keys = [iname_key(BOOK, f.iname) for f in forms]
-        assert len(evaluated) == len(keys) == 16 and keys == sorted(keys)
+        assert len(evaluated) == 0 and len(keys) == 16 and keys == sorted(keys)
+
+    def test_denied_form_in_a_covered_cell_is_not_returned(self, monkeypatch):
+        query = Query("book", {"author": ANY})
+        net, forms, evaluated = self._find(monkeypatch, query, hidden={("dune", "asimov")})
+        assert all(infolayer.cell_covered(net.pmap, query, c) for c in net.nodes[0].owned)
+        assert evaluated == [] and len(forms) == 15
+        assert ("dune", "asimov") not in {f.iname.values for f in forms}
+
+    def test_extra_attribute_predicate_evaluates_every_target_form(self, monkeypatch):
+        # pages constrains no segment, so no cell is covered
+        _, forms, evaluated = self._find(monkeypatch, Query("book", {"pages": Range(0, 7)}))
+        assert len(evaluated) == 16
+        assert sorted(f.description["pages"] for f in forms) == list(range(8))
 
 
 class TestRequestLifecycle:

@@ -133,6 +133,9 @@ class TestParsing:
         ("script[9]", lambda raw: raw["script"][9].update(chunks="three")),
         ("script[10]", lambda raw: raw["script"][10].update(chunks=None)),
         ("script[11]", lambda raw: raw["script"][11].update(turns="3x")),
+        ("script[9].chunks", lambda raw: raw["script"][9].update(chunks=-3)),
+        ("script[10].chunks", lambda raw: raw["script"][10].update(chunks=-3)),
+        ("script[11].turns", lambda raw: raw["script"][11].update(turns=0)),
         ("partitions[3]", lambda raw: (
             raw["classes"].append({"name": "atlas", "defining": [["name", "text"]]}),
             raw["partitions"].append({"class": "atlas", "cuts": {}, "irn_count": 0}))),
@@ -197,7 +200,8 @@ class TestParsing:
     ], ids=["publish-object", "migrate-object", "delete-object", "drop_host-object",
             "pull-consumer", "pull-producer", "push-consumer", "push-producer",
             "interactive-a", "interactive-b", "publish-order", "pull-chunks",
-            "push-chunks", "interactive-turns", "irn_count-0", "link-latency-0",
+            "push-chunks", "interactive-turns", "pull-chunks-negative",
+            "push-chunks-negative", "interactive-turns-0", "irn_count-0", "link-latency-0",
             "info_latency-negative", "deadline-negative", "entry_irn-text",
             "discover-entry-text", "object-without-id", "link-one-end",
             "query-list", "range-one-bound", "range-three-bounds", "eq-text-on-integer",
@@ -318,7 +322,17 @@ class TestRun:
         raw = golden_raw()
         raw["objects"][0]["values"]["title"] = 5
         result = run(parse_scenario(raw))
-        assert "t=0 ERROR publish b1 text attribute expects str, got int" in result.trace.lines
+        # instantiate applies the relay node's check, so it reports the same violation
+        assert "t=0 ERROR publish b1 kind mismatch for 'title'" in result.trace.lines
+        assert result.world.host("b1") is None
+
+    def test_extra_value_of_the_wrong_kind_leaves_no_orphan_host(self):
+        raw = golden_raw()
+        raw["objects"][0]["values"]["pages"] = "x"
+        result = run(parse_scenario(raw))
+        errors = [line for line in result.trace.lines if " ERROR publish b1 " in line]
+        assert errors == ["t=0 ERROR publish b1 kind mismatch for 'pages'"]
+        assert result.audits and all(not report.orphans for report in result.audits)
         assert result.world.host("b1") is None
 
     def test_top_down_publish_over_a_live_host_attaches_no_second_host(self):
