@@ -29,7 +29,6 @@ from .model import (
     Query,
     eval_query,
     iname_key,
-    predicate_interval,
     query_intervals,
     validate_form,
     validate_query,
@@ -134,7 +133,8 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
             raise InvalidCuts(f"boundaries for {name!r} not strictly increasing")
         dim_cuts.append(tuple(c))
     for name, _ in cuts.per_attribute:
-        cls.kind_of(name)  # raises UnknownAttribute for undeclared names
+        if name not in cls.defining_names:
+            raise InvalidCuts(f"{name!r} is not a defining attribute of {cls.class_name!r}")
     dims = tuple(len(c) + 1 for c in dim_cuts)
 
     assignment = {}
@@ -167,6 +167,16 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     return pmap, nodes
 
 
+def defining_bounds(q: Query, cls: ObjectClass) -> list:
+    """Per defining attribute, the (lo, hi, hi_open) key interval of the
+    query's first predicate on it; (None, None, False) when it has none."""
+    bounds = [(None, None, False)] * len(cls.defining_attributes)
+    for _, _, lo, hi, hi_open, pos in reversed(query_intervals(q, cls)):
+        if pos is not None:
+            bounds[pos] = (lo, hi, hi_open)
+    return bounds
+
+
 def locate_partitions(pmap: PartitionMap, q: Query) -> frozenset:
     """The cells whose segments intersect the query's key intervals.
 
@@ -175,8 +185,7 @@ def locate_partitions(pmap: PartitionMap, q: Query) -> frozenset:
     """
     validate_query(q, pmap.cls)
     per_dim = []
-    for (name, kind), cuts in zip(pmap.cls.defining_attributes, pmap.dim_cuts):
-        lo, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
+    for (lo, hi, hi_open), cuts in zip(defining_bounds(q, pmap.cls), pmap.dim_cuts):
         i_lo = 0 if lo is None else bisect_right(cuts, lo)
         if hi is None:
             i_hi = len(cuts)
@@ -209,10 +218,9 @@ class ResultsMessage:
     detail: str = ""
 
 
-def check_access(form: InformationalForm, requester: Requester, action: str) -> bool:
-    """Evaluate the form's own policy against the requester's class."""
-    rule = form.policy.view_rule if action == "view" else form.policy.exchange_rule
-    return rule.allows(requester.class_name)
+def check_access(form: InformationalForm, requester: Requester) -> bool:
+    """Evaluate the form's own view rule against the requester's class."""
+    return form.policy.view_rule.allows(requester.class_name)
 
 
 def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> list:
@@ -261,8 +269,7 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
     if local:
         if msg.action is Action.FIND:
             q, who, store, matched = msg.payload, msg.requester, node.store, []
-            name, kind = cls.defining_attributes[0]
-            lo, hi, hi_open = predicate_interval(q.predicate_for(name), kind)
+            lo, hi, hi_open = defining_bounds(q, cls)[0]
             for cell in local:
                 keys, covered = node.cells.get(cell, ()), cell_covered(pmap, q, cell)
                 i = 0 if lo is None else bisect_left(keys, lo, key=itemgetter(0))
@@ -270,7 +277,7 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
                     keys, hi, key=itemgetter(0))
                 for key in keys[i:j]:
                     form = store[key]
-                    if (covered or eval_query(q, form, cls)) and check_access(form, who, "view"):
+                    if (covered or eval_query(q, form, cls)) and check_access(form, who):
                         matched.append(key)
             results = _results(node, msg, forms=tuple(store[k] for k in sorted(matched)))
         else:
@@ -332,7 +339,6 @@ class RequestState:
     detail: str = ""
     status: str = "pending"      # pending | complete | timeout
     completed_at: Optional[int] = None
-    deadline_handle: Optional[tuple] = None
 
 
 class InfoNetwork:
@@ -377,14 +383,12 @@ class InfoNetwork:
         expected = frozenset(self.pmap.assignment[c] for c in targets)
         rid = self._next_request
         self._next_request += 1
-        rec = RequestState(rid, expected, self.loop.now)
-        self.requests[rid] = rec
+        self.requests[rid] = RequestState(rid, expected, self.loop.now)
         msg = XFindMessage(
             request_id=rid, action=action, payload=payload, requester=requester,
             targets=targets)
         self.metrics.sent["xfind"] += 1
         self.loop.post(0, self._on_xfind, self.nodes[entry], msg)
-        rec.deadline_handle = self.loop.post(self.deadline, self._on_deadline, rid)
         return rid
 
     def request(self, rid: int) -> RequestState:
@@ -422,7 +426,13 @@ class InfoNetwork:
     # -- origin-side accounting ----------------------------------------------
 
     def gather_results(self, rmsg: ResultsMessage) -> RequestState:
-        """Fold one results message into its request; dedupes per responder."""
+        """Fold one results message into its request; dedupes per responder.
+
+        No message is ever lost, so the request settles when its last
+        expected response arrives: complete when that is before its
+        deadline, else timeout at the deadline.  A response from the entry
+        alone arrives while the request is issued, so it is never late.
+        """
         rec = self.request(rmsg.request_id)
         if rmsg.responder in rec.responded:
             return rec
@@ -432,16 +442,12 @@ class InfoNetwork:
             rec.ack = rmsg.ack
             rec.detail = rmsg.detail
         if rec.status == "pending" and rec.responded >= rec.expected:
-            rec.status = "complete"
-            rec.completed_at = self.loop.now
-            self.loop.cancel(rec.deadline_handle)
+            due, now = rec.issued_at + self.deadline, self.loop.now
+            if rec.expected == {rmsg.entry} or now < due:
+                rec.status, rec.completed_at = "complete", now
+            else:
+                rec.status, rec.completed_at = "timeout", due
         return rec
-
-    def _on_deadline(self, rid: int) -> None:
-        rec = self.requests.get(rid)
-        if rec is not None and rec.status == "pending":
-            rec.status = "timeout"
-            rec.completed_at = self.loop.now
 
     # -- inspection -----------------------------------------------------------
 

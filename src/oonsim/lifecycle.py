@@ -75,7 +75,8 @@ class _Record:
 @dataclass
 class DiscoveryResult:
     items: list          # (IName, tuple of PName) sorted by normalized keys
-    complete: bool       # False when the request timed out (partial results)
+    complete: bool       # False when the last response came at or after the
+                         # deadline; items still hold every response
     request: object
 
 
@@ -175,27 +176,30 @@ class World:
             raise ValueError(f"bad publish order {order!r}")
         form = make_form(cls, spec.values, policy=spec.policy,
                          relationship=relationship)
-        detail = self._action(spec, Action.REGISTER, form)
+        detail = self._action(rec, Action.REGISTER, form)
         if detail != "Registered":
             raise AlreadyPublished(f"{obj_id!r}: {detail}")
-        rec.form = form
         if order == "top_down":
             if self.host(obj_id) is None:
                 self.instantiate(obj_id)
             updated = make_form(cls, spec.values, policy=spec.policy,
                                 relationship=[rec.pname])
-            detail = self._action(spec, Action.MODIFY, updated)
+            detail = self._action(rec, Action.MODIFY, updated)
             if detail != "Modified":
                 raise OonError(f"pointer fill-in for {obj_id!r} failed: {detail}")
-            rec.form = updated
         return detail
 
-    def _action(self, spec: ObjectSpec, action: Action, form) -> str:
+    def _action(self, rec: _Record, action: Action, form) -> str:
+        """Send one write and wait for it.  The record keeps the form the
+        relay node now holds, even when its answer came after the deadline."""
+        spec = rec.spec
         net = self.info[spec.class_name]
         rid = net.issue_request(spec.entry_irn, action, form,
                                 Requester(spec.class_name))
         self.loop.run()
         req = net.request(rid)
+        if req.ack:
+            rec.form = None if action is Action.DELETE else form
         if req.status != "complete":
             raise OonError(f"{action.value} for {spec.obj_id!r} {req.status}")
         return req.detail
@@ -226,8 +230,7 @@ class World:
         """Tear down info-first so no dangling-pointer window opens."""
         rec = self.record(obj_id)
         if rec.form is not None:
-            self._action(rec.spec, Action.DELETE, rec.form)
-            rec.form = None
+            self._action(rec, Action.DELETE, rec.form)
         if self.host(obj_id) is not None:
             self.datanet.remove_host(rec.pname)
 

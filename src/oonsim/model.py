@@ -311,12 +311,6 @@ class Query:
             preds = tuple(preds.items())
         object.__setattr__(self, "predicates", tuple(preds))
 
-    def predicate_for(self, attribute: str) -> Predicate:
-        for name, pred in self.predicates:
-            if name == attribute:
-                return pred
-        return ANY
-
 
 def validate_query(q: Query, cls: ObjectClass) -> None:
     """Raise unless every predicate names a declared attribute, has a value

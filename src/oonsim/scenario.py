@@ -191,9 +191,9 @@ def parse_scenario(raw: dict) -> Scenario:
         cls = by_name[cname]
         cuts = _shape(p.get("cuts", {}), dict, f"{where}.cuts")
         for attr, keys in cuts.items():
-            if not cls.declares(attr):
+            if attr not in cls.defining_names:
                 raise ValidationError(f"{where}.cuts",
-                                      f"attribute {attr!r} not declared by {cname!r}")
+                                      f"{attr!r} is not a defining attribute of {cname!r}")
             if not (isinstance(keys, list) and all(isinstance(k, str) for k in keys)
                     and all(a < b for a, b in zip(keys, keys[1:]))):
                 raise ValidationError(f"{where}.cuts.{attr}",
@@ -419,7 +419,7 @@ def oracle_find(forms, query: Query, cls: ObjectClass,
                 requester: Requester = Requester("anonymous")) -> list:
     """Linear scan reference for find: no partition logic involved."""
     return [f for f in forms
-            if eval_query(query, f, cls) and check_access(f, requester, "view")]
+            if eval_query(query, f, cls) and check_access(f, requester)]
 
 
 def result_keys(forms, cls: ObjectClass) -> set:

@@ -21,20 +21,13 @@ class EventLoop:
         self._heap = []
         self._seq = 0
         self._last = (-1, -1)
-        self._cancelled = set()
 
-    def post(self, delay: int, handler, *args) -> tuple:
-        """Schedule handler(*args); returns a handle usable with cancel()."""
+    def post(self, delay: int, handler, *args) -> None:
+        """Schedule handler(*args) delay ticks from now."""
         if delay < 0:
             raise ValueError("negative delay")
-        tick, seq = self.now + delay, self._seq
+        heapq.heappush(self._heap, (self.now + delay, self._seq, handler, args))
         self._seq += 1
-        heapq.heappush(self._heap, (tick, seq, handler, args))
-        return (tick, seq)
-
-    def cancel(self, handle: tuple) -> None:
-        """Cancelled events are discarded without advancing the clock."""
-        self._cancelled.add(handle)
 
     def run(self, max_events: int = None) -> int:
         """Drain the queue; returns the number of events processed."""
@@ -43,9 +36,6 @@ class EventLoop:
             if max_events is not None and processed >= max_events:
                 break
             tick, seq, handler, args = heapq.heappop(self._heap)
-            if (tick, seq) in self._cancelled:
-                self._cancelled.discard((tick, seq))
-                continue
             assert (tick, seq) > self._last, "event ordering violated"
             self._last = (tick, seq)
             self.now = tick

@@ -73,6 +73,12 @@ class TestPartitionMap:
         with pytest.raises(InvalidCuts):
             build_partition_map(BOOK, SegmentCuts({"title": ["p", "h"]}), 2)
 
+    @pytest.mark.parametrize("name", ["pages", "isbn"])
+    def test_cuts_on_a_non_defining_attribute_rejected(self, name):
+        # no grid dimension reads them, so they would cut nothing
+        with pytest.raises(InvalidCuts):
+            build_partition_map(BOOK, SegmentCuts({"title": ["n"], name: ["m"]}), 2)
+
     def test_assignment_total_and_disjoint(self):
         cuts = SegmentCuts({"title": ["g", "n", "t"], "author": ["m"]})
         pmap, nodes = build_partition_map(BOOK, cuts, 3)
@@ -316,14 +322,41 @@ class TestRequestLifecycle:
         net.gather_results(dup)
         assert len(net.request(rid).forms) == 1
 
-    def test_deadline_marks_timeout_with_partial_results(self):
-        net = make_info(deadline=10)
+    # From entry 0 at tick 7, a find of all cells hears last from node 3,
+    # two hops away: at 11 with latency 1, at 7 with latency 0.
+    # (title=dune, author=herbert) lies in entry 0's own cell.
+    @pytest.mark.parametrize("query, latency, deadline, settled", [
+        ({}, 1, 2, ("timeout", 9)),
+        ({}, 1, 4, ("timeout", 11)),
+        ({}, 1, 5, ("complete", 11)),
+        ({}, 0, 0, ("timeout", 7)),
+        ({}, 0, 1, ("complete", 7)),
+        ({"title": Eq("dune"), "author": Eq("herbert")}, 1, 0, ("complete", 7)),
+        ({"title": Eq("dune"), "author": Eq("herbert")}, 0, 0, ("complete", 7)),
+    ])
+    def test_request_settles_at_its_last_response(self, query, latency, deadline, settled):
+        net = make_info(latency=latency, deadline=deadline)
+        net.loop.post(7, lambda: None)
+        net.loop.run()
+        rid = net.issue_request(0, Action.FIND, Query("book", query), REQ)
+        assert net.request(rid).status == "pending"
+        net.loop.run()
+        rec = net.request(rid)
+        assert (rec.status, rec.completed_at) == settled
+        assert rec.responded == rec.expected
+
+    def test_timed_out_find_holds_every_responders_forms(self):
+        net = make_info(deadline=2)
+        forms = [make_form(BOOK, {"title": t, "author": a})
+                 for t in ("dune", "solaris") for a in ("herbert", "lem")]
+        for form in forms:
+            net.issue_request(0, Action.REGISTER, form, REQ)
+            net.loop.run()
         rid = net.issue_request(0, Action.FIND, Query("book", {}), REQ)
-        net.gather_results(ResultsMessage(request_id=rid, responder=0, entry=0))
-        net._on_deadline(rid)
+        net.loop.run()
         rec = net.request(rid)
         assert rec.status == "timeout"
-        assert rec.responded == {0}
+        assert {f.iname for f in rec.forms} == {f.iname for f in forms}
 
     @pytest.mark.parametrize("entry", [4, -1])
     def test_entry_outside_relay_nodes_rejected(self, entry):
@@ -350,13 +383,13 @@ class TestRequestLifecycle:
 class TestAccessControl:
     def test_allow_all(self):
         form = make_form(BOOK, {"title": "t", "author": "a"})
-        assert check_access(form, Requester("sensor"), "view")
+        assert check_access(form, Requester("sensor"))
 
     def test_allow_classes_denies_other_class(self):
         policy = AccessPolicy(view_rule=allow_classes("person"))
         form = make_form(BOOK, {"title": "t", "author": "a"}, policy=policy)
-        assert not check_access(form, Requester("sensor"), "view")
-        assert check_access(form, Requester("person"), "view")
+        assert not check_access(form, Requester("sensor"))
+        assert check_access(form, Requester("person"))
 
     def test_denied_forms_excluded_from_find(self):
         net = make_info()

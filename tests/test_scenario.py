@@ -163,6 +163,8 @@ class TestParsing:
          lambda raw: raw["script"][6].update(query={"title": {"eq": ""}})),
         ("script[6].query.title",
          lambda raw: raw["script"][6].update(query={"title": {"prefix": 5}})),
+        ("partitions[0].cuts",
+         lambda raw: raw["partitions"][0]["cuts"].update(pages=["00000000000000000100"])),
         ("partitions[0].cuts.title",
          lambda raw: raw["partitions"][0].update(cuts={"title": [5]})),
         ("partitions[0].cuts.title",
@@ -206,7 +208,7 @@ class TestParsing:
             "discover-entry-text", "object-without-id", "link-one-end",
             "query-list", "range-one-bound", "range-three-bounds", "eq-text-on-integer",
             "eq-negative-integer", "range-text-on-integer", "range-reversed", "eq-empty-text",
-            "prefix-integer", "cuts-integer", "cuts-decreasing", "cuts-repeated",
+            "prefix-integer", "cuts-extra-attribute", "cuts-integer", "cuts-decreasing", "cuts-repeated",
             "cuts-string", "classes-integer", "domains-integer", "links-integer",
             "class-integer", "partition-integer", "object-integer", "step-integer",
             "values-integer", "policy-integer", "policy-classes-integer",
@@ -334,6 +336,18 @@ class TestRun:
         assert errors == ["t=0 ERROR publish b1 kind mismatch for 'pages'"]
         assert result.audits and all(not report.orphans for report in result.audits)
         assert result.world.host("b1") is None
+
+    def test_late_write_is_recorded_as_the_relay_node_applied_it(self):
+        # at deadline 2, b2's register answers late: an error step, but the
+        # relay node stored b2's form, so deleting b2 must delete that form
+        raw = golden_raw()
+        raw["deadline"] = 2
+        raw["script"] += [{"action": "delete", "object": "b2"}, {"action": "audit"}]
+        result = run(parse_scenario(raw))
+        assert "t=2 ERROR publish b2 register for 'b2' timeout" in result.trace.lines
+        assert not any(form.iname.values[0] == "rendezvous with rama"
+                       for form in result.world.info["book"].all_forms())
+        assert " AUDIT dangling=0 " in result.trace.lines[-1]
 
     def test_top_down_publish_over_a_live_host_attaches_no_second_host(self):
         raw = golden_raw()

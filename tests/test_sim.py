@@ -32,17 +32,6 @@ def test_handler_receives_exactly_the_posted_args():
     assert seen[1][1] is payload
 
 
-def test_cancelled_event_neither_runs_nor_moves_the_clock():
-    loop = EventLoop()
-    seen, handler = _recorder(loop)
-    loop.post(3, handler, "kept")
-    handle = loop.post(9, handler, "cancelled")
-    loop.cancel(handle)
-    assert loop.run() == 1
-    assert seen == [(3, "kept")]
-    assert loop.now == 3
-
-
 def test_max_events_stops_early_and_a_second_run_resumes():
     loop = EventLoop()
     seen, handler = _recorder(loop)
