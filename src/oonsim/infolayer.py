@@ -330,7 +330,6 @@ def _results(node, msg, forms=(), ack=None, detail=""):
 
 @dataclass
 class RequestState:
-    request_id: int
     expected: frozenset          # node ids that must respond
     issued_at: int
     responded: set = field(default_factory=set)
@@ -383,7 +382,7 @@ class InfoNetwork:
         expected = frozenset(self.pmap.assignment[c] for c in targets)
         rid = self._next_request
         self._next_request += 1
-        self.requests[rid] = RequestState(rid, expected, self.loop.now)
+        self.requests[rid] = RequestState(expected, self.loop.now)
         msg = XFindMessage(
             request_id=rid, action=action, payload=payload, requester=requester,
             targets=targets)
@@ -425,7 +424,7 @@ class InfoNetwork:
 
     # -- origin-side accounting ----------------------------------------------
 
-    def gather_results(self, rmsg: ResultsMessage) -> RequestState:
+    def gather_results(self, rmsg: ResultsMessage) -> None:
         """Fold one results message into its request; dedupes per responder.
 
         No message is ever lost, so the request settles when its last
@@ -435,7 +434,7 @@ class InfoNetwork:
         """
         rec = self.request(rmsg.request_id)
         if rmsg.responder in rec.responded:
-            return rec
+            return
         rec.responded.add(rmsg.responder)
         rec.forms.extend(rmsg.forms)
         if rmsg.ack is not None:
@@ -447,7 +446,6 @@ class InfoNetwork:
                 rec.status, rec.completed_at = "complete", now
             else:
                 rec.status, rec.completed_at = "timeout", due
-        return rec
 
     # -- inspection -----------------------------------------------------------
 

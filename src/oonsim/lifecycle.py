@@ -74,10 +74,12 @@ class _Record:
 
 @dataclass
 class DiscoveryResult:
+    """One find: World.discover fills it; run() keeps complete alone."""
+
     items: list          # (IName, tuple of PName) sorted by normalized keys
     complete: bool       # False when the last response came at or after the
                          # deadline; items still hold every response
-    request: object
+    request: object      # the settled RequestState; None in run()'s copy
 
 
 @dataclass
@@ -193,11 +195,8 @@ class World:
         """Send one write and wait for it.  The record keeps the form the
         relay node now holds, even when its answer came after the deadline."""
         spec = rec.spec
-        net = self.info[spec.class_name]
-        rid = net.issue_request(spec.entry_irn, action, form,
-                                Requester(spec.class_name))
-        self.loop.run()
-        req = net.request(rid)
+        req = self._settle(self.info[spec.class_name], spec.entry_irn, action,
+                           form, spec.class_name)
         if req.ack:
             rec.form = None if action is Action.DELETE else form
         if req.status != "complete":
@@ -208,13 +207,16 @@ class World:
                  requester_class: str = "anonymous") -> DiscoveryResult:
         """Run a find and project the results to (iname, pointers)."""
         net = self.info[query.class_name]
-        rid = net.issue_request(entry, Action.FIND, query,
-                                Requester(requester_class))
-        self.loop.run()
-        req = net.request(rid)
+        req = self._settle(net, entry, Action.FIND, query, requester_class)
         items = [(f.iname, tuple(f.relationship)) for f in req.forms]
         items.sort(key=lambda it: iname_key(net.cls, it[0]))
         return DiscoveryResult(items, req.status == "complete", req)
+
+    def _settle(self, net: InfoNetwork, entry: int, action: Action, payload, who: str):
+        """Issue a request, drain the loop, and take the settled request."""
+        rid = net.issue_request(entry, action, payload, Requester(who))
+        self.loop.run()
+        return net.requests.pop(rid)
 
     def migrate(self, obj_id: str, to_domain: str) -> None:
         """Move the physical form; the pname and informational form stay put."""
@@ -227,12 +229,15 @@ class World:
         rec.domain = to_domain
 
     def delete(self, obj_id: str) -> None:
-        """Tear down info-first so no dangling-pointer window opens."""
+        """Tear down info-first so no dangling-pointer window opens; the host
+        goes once the relay node no longer holds the form, late answer or not."""
         rec = self.record(obj_id)
-        if rec.form is not None:
-            self._action(rec, Action.DELETE, rec.form)
-        if self.host(obj_id) is not None:
-            self.datanet.remove_host(rec.pname)
+        try:
+            if rec.form is not None:
+                self._action(rec, Action.DELETE, rec.form)
+        finally:
+            if rec.form is None and self.host(obj_id) is not None:
+                self.datanet.remove_host(rec.pname)
 
     def drop_host(self, obj_id: str) -> None:
         """Fault injection: kill the host without touching the info layer."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .infolayer import Requester, check_access
-from .lifecycle import NotInstantiated, ObjectSpec, World
+from .lifecycle import DiscoveryResult, NotInstantiated, ObjectSpec, World
 from .model import (
     ANY,
     AccessPolicy,
@@ -59,11 +59,14 @@ class Scenario:
 
 @dataclass
 class RunResult:
+    """What run() keeps.  A discover step keeps its completion flag alone:
+    no items and no request, which World.discover returns to its caller."""
+
     metrics: Metrics
     trace: Trace
     audits: list = field(default_factory=list)       # AuditReport per checkpoint
-    discoveries: list = field(default_factory=list)
-    sessions: list = field(default_factory=list)
+    discoveries: list = field(default_factory=list)  # DiscoveryResult per find
+    sessions: list = field(default_factory=list)     # SessionTrace per session
     world: Optional[World] = None
 
 
@@ -314,9 +317,9 @@ def run(scenario: Scenario) -> RunResult:
                     world.instantiate(step["object"])
                 world.publish(step["object"], order)
             elif action == "discover":
-                result.discoveries.append(
-                    world.discover(step["query"], entry=int(step.get("entry", 0)),
-                                   requester_class=step.get("requester_class", "anonymous")))
+                res = world.discover(step["query"], entry=int(step.get("entry", 0)),
+                                     requester_class=step.get("requester_class", "anonymous"))
+                result.discoveries.append(DiscoveryResult([], res.complete, None))
             elif action in ("pull", "push", "interactive"):
                 result.sessions.append(_run_session(world, step))
             elif action == "migrate":

@@ -365,6 +365,19 @@ class TestRequestLifecycle:
             net.issue_request(entry, Action.FIND, Query("book", {}), REQ)
         assert net.requests == {} and net.loop.run() == 0
 
+    def test_earlier_request_stays_readable_after_later_ones(self):
+        # a caller without a World issues every request, then reads them all
+        net = make_info()
+        form = make_form(BOOK, {"title": "dune", "author": "herbert"})
+        reg = net.issue_request(0, Action.REGISTER, form, REQ)
+        net.loop.run()
+        finds = [net.issue_request(entry, Action.FIND, Query("book", {}), REQ)
+                 for entry in range(4)]
+        net.loop.run()
+        assert net.request(reg).detail == "Registered"
+        assert [net.request(rid).forms for rid in finds] == [[form]] * 4
+        assert set(net.requests) == {reg, *finds}
+
     def test_unknown_request_rejected(self):
         net = make_info()
         with pytest.raises(UnknownRequest):

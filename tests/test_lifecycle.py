@@ -149,6 +149,17 @@ class TestDiscover:
             got = [iname_key(BOOK, it[0]) for it in res.items]
             assert got == expected
 
+    def test_returns_sorted_items_and_the_settled_request(self):
+        w = make_world()
+        _populate(w, random.Random(73), 10)
+        res = w.discover(Query("book", {}))
+        keys = [iname_key(BOOK, it[0]) for it in res.items]
+        assert len(keys) == 10 and keys == sorted(keys)
+        assert res.request.status == "complete"
+        assert {f.iname for f in res.request.forms} == {it[0] for it in res.items}
+        # the World took every request, writes included, out of the network
+        assert all(net.requests == {} for net in w.info.values())
+
     def test_pointers_resolve_to_live_hosts(self):
         rng = random.Random(72)
         w = make_world()

@@ -29,6 +29,15 @@ def golden_raw():
     return json.loads(GOLDEN.read_text())
 
 
+def late_delete_raw():
+    """golden.json at deadline 2 with `delete b2` and `audit` appended: b2's
+    register and its delete both answer after the deadline."""
+    raw = golden_raw()
+    raw["deadline"] = 2
+    raw["script"] += [{"action": "delete", "object": "b2"}, {"action": "audit"}]
+    return raw
+
+
 class TestParsing:
     def test_golden_loads(self):
         sc = load_scenario(str(GOLDEN))
@@ -340,14 +349,30 @@ class TestRun:
     def test_late_write_is_recorded_as_the_relay_node_applied_it(self):
         # at deadline 2, b2's register answers late: an error step, but the
         # relay node stored b2's form, so deleting b2 must delete that form
-        raw = golden_raw()
-        raw["deadline"] = 2
-        raw["script"] += [{"action": "delete", "object": "b2"}, {"action": "audit"}]
-        result = run(parse_scenario(raw))
+        result = run(parse_scenario(late_delete_raw()))
         assert "t=2 ERROR publish b2 register for 'b2' timeout" in result.trace.lines
         assert not any(form.iname.values[0] == "rendezvous with rama"
                        for form in result.world.info["book"].all_forms())
         assert " AUDIT dangling=0 " in result.trace.lines[-1]
+
+    def test_timed_out_delete_still_detaches_the_host(self):
+        # the relay node deleted b2's form, so b2's host goes with it,
+        # although the step still reports the timeout
+        result = run(parse_scenario(late_delete_raw()))
+        assert result.trace.lines[-2:] == ["t=35 ERROR delete b2 delete for 'b2' timeout",
+                                           "t=35 AUDIT dangling=0 orphans=0"]
+        assert result.world.host("b2") is None
+        assert result.metrics.conservation_holds()
+
+    @pytest.mark.parametrize("raw", [
+        golden_raw(), json.loads((SCENARIOS / "fault.json").read_text()), late_delete_raw(),
+    ], ids=["golden", "fault", "late-delete"])
+    def test_run_keeps_no_request_and_no_find_items(self, raw):
+        result = run(parse_scenario(raw))
+        assert all(net.requests == {} for net in result.world.info.values())
+        assert len(result.discoveries) == 2
+        assert all(d.items == [] and d.request is None
+                   for d in result.discoveries)
 
     def test_top_down_publish_over_a_live_host_attaches_no_second_host(self):
         raw = golden_raw()
