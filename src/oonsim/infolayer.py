@@ -6,17 +6,18 @@ to relay nodes.  A request (xFind) travels down its entry node's
 breadth-first tree of the relay nodes, computed from nothing but the static
 partition map, so each node serves it at most once; responses (Results)
 climb the same tree's parent pointers back to the entry node.  No routing
-state is ever exchanged between nodes.  Each node keeps its store's keys
-sorted per cell, so a find reads only its target cells.  A cell that lies
-wholly inside the query is covered, and its forms pass on the access check
-alone; elsewhere a find bisects on the first dimension and reads defining
+state is ever exchanged between nodes.  Each node keeps each cell's forms
+in key order, so a find reads only its target cells, in coordinate order.
+A cell that lies wholly inside the query is covered: its forms go out as
+one slice, or past the access check alone if one has a restricted view
+rule; elsewhere a find bisects on the first dimension and reads defining
 values from each stored key.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from operator import itemgetter
@@ -88,11 +89,22 @@ class Requester:
 
 
 @dataclass
+class Cell:
+    keys: list = field(default_factory=list)      # sorted normalized keys
+    forms: list = field(default_factory=list)     # forms[i] is stored under keys[i]
+    restricted: int = 0                           # forms whose view rule is not allow_all
+
+
+def _restricted(form: Optional[InformationalForm]) -> bool:
+    return form is not None and form.policy.view_rule.kind != "allow_all"
+
+
+@dataclass
 class IRNNode:
     irn_id: int
     owned: set = field(default_factory=set)          # grid coordinates
     store: dict = field(default_factory=dict)        # normalized key -> form
-    cells: dict = field(default_factory=dict)        # coordinate -> sorted keys stored in it
+    cells: dict = field(default_factory=dict)        # owned coordinate -> Cell
 
 
 @dataclass
@@ -164,6 +176,7 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     nodes = [IRNNode(i) for i in range(irn_count)]
     for coord, nid in assignment.items():
         nodes[nid].owned.add(coord)
+        nodes[nid].cells[coord] = Cell()
     return pmap, nodes
 
 
@@ -268,46 +281,48 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
     results = None
     if local:
         if msg.action is Action.FIND:
-            q, who, store, matched = msg.payload, msg.requester, node.store, []
+            q, who, matched = msg.payload, msg.requester, []
             lo, hi, hi_open = defining_bounds(q, cls)[0]
-            for cell in local:
-                keys, covered = node.cells.get(cell, ()), cell_covered(pmap, q, cell)
-                i = 0 if lo is None else bisect_left(keys, lo, key=itemgetter(0))
-                j = len(keys) if hi is None else (bisect_left if hi_open else bisect_right)(
-                    keys, hi, key=itemgetter(0))
-                for key in keys[i:j]:
-                    form = store[key]
-                    if (covered or eval_query(q, form, cls)) and check_access(form, who):
-                        matched.append(key)
-            results = _results(node, msg, forms=tuple(store[k] for k in sorted(matched)))
+            for coord in sorted(local):
+                cell = node.cells[coord]
+                if cell_covered(pmap, q, coord):
+                    matched.extend([f for f in cell.forms if check_access(f, who)]
+                                   if cell.restricted else cell.forms)
+                    continue
+                i = 0 if lo is None else bisect_left(cell.keys, lo, key=itemgetter(0))
+                j = len(cell.keys) if hi is None else (bisect_left if hi_open else bisect_right)(
+                    cell.keys, hi, key=itemgetter(0))
+                for form in cell.forms[i:j]:
+                    if eval_query(q, form, cls) and check_access(form, who):
+                        matched.append(form)
+            results = _results(node, msg, forms=tuple(matched))
         else:
             form = msg.payload
-            cell = pmap.cell_of_iname(form.iname)
-            if cell not in node.owned:
+            coord = pmap.cell_of_iname(form.iname)
+            if coord not in node.owned:
                 raise WrongOwner(
-                    f"{msg.action.value} for cell {cell} routed to node {node.irn_id}")
+                    f"{msg.action.value} for cell {coord} routed to node {node.irn_id}")
             key = iname_key(cls, form.iname)
-            exists = key in node.store
-            if msg.action is Action.REGISTER:
-                if exists:
-                    results = _results(node, msg, ack=False, detail="AlreadyExists")
-                else:
-                    node.store[key] = form
-                    insort(node.cells.setdefault(cell, []), key)
-                    results = _results(node, msg, ack=True, detail="Registered")
-            elif msg.action is Action.MODIFY:
-                if exists:
-                    node.store[key] = form
-                    results = _results(node, msg, ack=True, detail="Modified")
-                else:
-                    results = _results(node, msg, ack=False, detail="NotFound")
-            else:  # DELETE
-                if exists:
-                    del node.store[key]
-                    node.cells[cell].pop(bisect_left(node.cells[cell], key))
-                    results = _results(node, msg, ack=True, detail="Deleted")
-                else:
-                    results = _results(node, msg, ack=False, detail="NotFound")
+            old = node.store.get(key)
+            if msg.action is Action.REGISTER and old is not None:
+                results = _results(node, msg, ack=False, detail="AlreadyExists")
+            elif msg.action is not Action.REGISTER and old is None:
+                results = _results(node, msg, ack=False, detail="NotFound")
+            else:
+                cell = node.cells[coord]
+                i = bisect_left(cell.keys, key)
+                if msg.action is Action.REGISTER:
+                    cell.keys.insert(i, key)
+                    cell.forms.insert(i, form)
+                    node.store[key], detail = form, "Registered"
+                elif msg.action is Action.MODIFY:
+                    cell.forms[i] = node.store[key] = form
+                    detail = "Modified"
+                else:  # DELETE
+                    del cell.keys[i], cell.forms[i], node.store[key]
+                    detail = "Deleted"
+                cell.restricted += _restricted(node.store.get(key)) - _restricted(old)
+                results = _results(node, msg, ack=True, detail=detail)
     forwards = []
     for nid, sub in next_hops(node, pmap, msg, msg.targets - node.owned):
         forwards.append((nid, replace(msg, targets=sub, path=msg.path + (node.irn_id,))))

@@ -74,12 +74,20 @@ class _Record:
 
 @dataclass
 class DiscoveryResult:
-    """One find: World.discover fills it; run() keeps complete alone."""
+    """One find: World.discover keeps its settled request, whose forms give
+    items when read; run() keeps complete alone."""
 
-    items: list          # (IName, tuple of PName) sorted by normalized keys
     complete: bool       # False when the last response came at or after the
-                         # deadline; items still hold every response
-    request: object      # the settled RequestState; None in run()'s copy
+                         # deadline; the request still holds every response
+    request: object = None               # the settled RequestState
+    cls: Optional[ObjectClass] = None    # the queried class, for the sort
+
+    @property
+    def items(self) -> list:
+        """(IName, tuple of PName) sorted by normalized key, built when read."""
+        forms = self.request.forms if self.request is not None else ()
+        return [(f.iname, tuple(f.relationship))
+                for f in sorted(forms, key=lambda f: iname_key(self.cls, f.iname))]
 
 
 @dataclass
@@ -205,12 +213,10 @@ class World:
 
     def discover(self, query: Query, entry: int = 0,
                  requester_class: str = "anonymous") -> DiscoveryResult:
-        """Run a find and project the results to (iname, pointers)."""
+        """Run a find; its items are projected only when read."""
         net = self.info[query.class_name]
         req = self._settle(net, entry, Action.FIND, query, requester_class)
-        items = [(f.iname, tuple(f.relationship)) for f in req.forms]
-        items.sort(key=lambda it: iname_key(net.cls, it[0]))
-        return DiscoveryResult(items, req.status == "complete", req)
+        return DiscoveryResult(req.status == "complete", req, net.cls)
 
     def _settle(self, net: InfoNetwork, entry: int, action: Action, payload, who: str):
         """Issue a request, drain the loop, and take the settled request."""

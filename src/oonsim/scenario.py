@@ -60,7 +60,7 @@ class Scenario:
 @dataclass
 class RunResult:
     """What run() keeps.  A discover step keeps its completion flag alone:
-    no items and no request, which World.discover returns to its caller."""
+    no request, which World.discover returns to its caller, so no items."""
 
     metrics: Metrics
     trace: Trace
@@ -319,7 +319,7 @@ def run(scenario: Scenario) -> RunResult:
             elif action == "discover":
                 res = world.discover(step["query"], entry=int(step.get("entry", 0)),
                                      requester_class=step.get("requester_class", "anonymous"))
-                result.discoveries.append(DiscoveryResult([], res.complete, None))
+                result.discoveries.append(DiscoveryResult(res.complete))
             elif action in ("pull", "push", "interactive"):
                 result.sessions.append(_run_session(world, step))
             elif action == "migrate":

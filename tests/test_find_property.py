@@ -8,8 +8,10 @@ runs from 1 to more than the number of cells.  Every query locates at
 least one cell, because every key interval is closed below.  The same
 finds check the forwarding: each relay node serves a request at most
 once, every node the request awaits responds, and hops stay within the
-grid's bound.  A second test interleaves register, modify, delete and find, and checks
-each node's per-cell key index against its store after every step.  Two more
+grid's bound.  A second test interleaves register, modify, delete and find
+over forms with open, closed and class-limited view rules, and checks each
+node's cells against its store after every step, with finds from two
+requester classes against the oracle.  Two more
 check the shortcuts of a relay node's scan against the matcher itself: every
 stored form in a cell judged covered matches, and reading defining keys off
 the name agrees with normalizing the description.
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from oonsim import (
     ANY,
+    AccessPolicy,
     Action,
     AttributeKind,
     Eq,
@@ -28,15 +31,17 @@ from oonsim import (
     Query,
     Range,
     Requester,
+    allow_classes,
     iname_key,
     locate_partitions,
     make_form,
     normalize_value,
+    oracle_find,
     result_keys,
 )
 
 from oonsim.infolayer import cell_covered
-from oonsim.model import eval_query, query_intervals
+from oonsim.model import ALLOW_ALL, DENY_ALL, eval_query, query_intervals
 
 from conftest import make_info
 
@@ -48,6 +53,11 @@ ITEM = ObjectClass(
 )
 KINDS = dict(ITEM.defining_attributes + ITEM.extra_description_attributes)
 REQ = Requester("tester")
+# A form open to all, closed to all, or open to REQ's class alone; a find
+# from a second class sees only the open forms.
+POLICIES = OPEN, CLOSED, TESTER_ONLY = tuple(
+    AccessPolicy(view_rule=r) for r in (ALLOW_ALL, DENY_ALL, allow_classes(REQ.class_name)))
+REQUESTERS = (REQ, Requester("guest"))
 
 # Case folding ("S", "ß" -> "ss"), neighbouring letters ("a"/"b", "n"/"o")
 # and the largest code point, which has no successor, are where key bounds
@@ -181,7 +191,8 @@ def test_networked_find_equals_reference(case):
 @st.composite
 def churn_cases(draw):
     """A grid, a pool of rows and a random sequence of register, modify,
-    delete and find steps over them, each entering at a random node."""
+    delete and find steps over them, each entering at a random node.  Each
+    write draws its form's view rule, so a modify can change it."""
     cuts, irn_count, rows, _, _ = draw(find_cases())
     rows = rows or [{"name": "a", "rank": 0}]
     pools = value_pools(cuts["name"], [int(k) for k in cuts["rank"]], rows)
@@ -195,27 +206,50 @@ def churn_cases(draw):
         else:
             row = dict(draw(st.sampled_from(rows)))
             row["note"] = draw(texts)  # a modify replaces the extra attributes
-            steps.append((action, entry, row))
+            steps.append((action, entry, (row, draw(st.sampled_from(POLICIES)))))
     return cuts, irn_count, steps
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(churn_cases())
+# A modify that closes an open form in a covered cell, then one that
+# opens it again, each followed by a find that covers the cell.
+@example(({"name": [], "rank": []}, 1, [
+    (Action.REGISTER, 0, ({"name": "a", "rank": 0, "note": "a"}, OPEN)),
+    (Action.MODIFY, 0, ({"name": "a", "rank": 0, "note": "b"}, CLOSED)),
+    (Action.FIND, 0, ()),
+    (Action.MODIFY, 0, ({"name": "a", "rank": 0, "note": "b"}, OPEN)),
+    (Action.FIND, 0, ()),
+]))
+# A class-limited form deleted from a cell that keeps an open one.
+@example(({"name": [], "rank": []}, 1, [
+    (Action.REGISTER, 0, ({"name": "a", "rank": 0, "note": "a"}, TESTER_ONLY)),
+    (Action.REGISTER, 0, ({"name": "b", "rank": 0, "note": "a"}, OPEN)),
+    (Action.DELETE, 0, ({"name": "a", "rank": 0, "note": "a"}, OPEN)),
+    (Action.FIND, 0, ()),
+]))
 def test_cell_index_tracks_the_store_under_churn(case):
     cuts, irn_count, steps = case
     net = make_info(ITEM, cuts, irn_count)
     live = {}                     # normalized key -> the form stored under it
     for action, entry, arg in steps:
         if action is Action.FIND:
-            rid = net.issue_request(entry, action, Query("item", arg), REQ)
-            net.loop.run()
-            want = [f for f in live.values() if all(
-                reference_match(p, f.description.get(a), KINDS[a]) for a, p in arg)]
-            assert net.request(rid).status == "complete"
-            assert sorted(map(id, net.request(rid).forms)) == sorted(map(id, want))
+            query = Query("item", arg)
+            for who in REQUESTERS:
+                rid = net.issue_request(entry, action, query, who)
+                net.loop.run()
+                want = [f for f in live.values() if all(
+                    reference_match(p, f.description.get(a), KINDS[a]) for a, p in arg)
+                    and f.policy.view_rule.allows(who.class_name)]
+                got = net.request(rid).forms
+                assert net.request(rid).status == "complete"
+                assert sorted(map(id, got)) == sorted(map(id, want))
+                assert sorted(map(id, got)) == sorted(
+                    map(id, oracle_find(live.values(), query, ITEM, who)))
         else:
-            form = make_form(ITEM, arg)
+            row, policy = arg
+            form = make_form(ITEM, row, policy=policy)
             key = iname_key(ITEM, form.iname)
             rid = net.issue_request(entry, action, form, REQ)
             net.loop.run()
@@ -229,10 +263,14 @@ def test_cell_index_tracks_the_store_under_churn(case):
             else:
                 assert net.request(rid).ack is (live.pop(key, None) is not None)
         for node in net.nodes:
-            assert all(keys == sorted(keys) for keys in node.cells.values())
-            indexed = [(cell, k) for cell, keys in node.cells.items() for k in keys]
+            for cell in node.cells.values():
+                assert cell.keys == sorted(cell.keys)
+                assert cell.forms == [node.store[k] for k in cell.keys]
+                assert cell.restricted == sum(
+                    f.policy.view_rule.kind != "allow_all" for f in cell.forms)
+            indexed = [(coord, k) for coord, cell in node.cells.items() for k in cell.keys]
             assert sorted(k for _, k in indexed) == sorted(node.store)
-            assert all(net.pmap.cell_of_key(k) == cell for cell, k in indexed)
+            assert all(net.pmap.cell_of_key(k) == coord for coord, k in indexed)
 
 
 @settings(max_examples=300, deadline=None,
@@ -258,9 +296,9 @@ def test_every_form_in_a_covered_cell_matches(case):
         net.loop.run()
     query = Query("item", preds)
     for node in net.nodes:
-        for cell, keys in node.cells.items():
-            if cell_covered(net.pmap, query, cell):
-                assert all(eval_query(query, node.store[k], ITEM) for k in keys)
+        for coord, cell in node.cells.items():
+            if cell_covered(net.pmap, query, coord):
+                assert all(eval_query(query, f, ITEM) for f in cell.forms)
 
 
 def eval_on_description(q, form, cls) -> bool:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,7 @@ from oonsim.lifecycle import AlreadyPublished, NotInstantiated, UnknownObject
 from conftest import BOOK, PERSON
 
 
-def make_world(**kw):
+def make_world(title_cuts=("n",), **kw):
     w = World(**kw)
     w.add_class(BOOK)
     w.add_class(PERSON)
@@ -29,7 +30,7 @@ def make_world(**kw):
         w.add_domain(d)
     w.connect_domains("d1", "d2", 1)
     w.connect_domains("d2", "d3", 1)
-    w.add_partition("book", {"title": ["n"], "author": ["n"]}, 4)
+    w.add_partition("book", {"title": list(title_cuts), "author": ["n"]}, 4)
     w.add_partition("person", {"name": ["m"]}, 2)
     return w
 
@@ -159,6 +160,23 @@ class TestDiscover:
         assert {f.iname for f in res.request.forms} == {it[0] for it in res.items}
         # the World took every request, writes included, out of the network
         assert all(net.requests == {} for net in w.info.values())
+
+    def test_items_sort_the_projection_of_forms_from_many_cells(self):
+        # 4x2 cells over 4 relay nodes, so each node owns two cells and
+        # answers them one after the other: the forms arrive out of key order
+        w = make_world(title_cuts=("g", "n", "t"))
+        _populate(w, random.Random(74), 40)
+        res = w.discover(Query("book", {}))
+        forms, pmap = res.request.forms, w.info["book"].pmap
+        cells = {pmap.cell_of_iname(f.iname) for f in forms}
+        per_node = Counter(pmap.assignment[c] for c in cells)
+        assert len(per_node) >= 2 and max(per_node.values()) >= 2
+        assert [iname_key(BOOK, f.iname) for f in forms] != sorted(
+            iname_key(BOOK, f.iname) for f in forms)
+        keys = [iname_key(BOOK, it[0]) for it in res.items]
+        assert len(keys) == 40 and keys == sorted(keys)
+        assert res.items == sorted(((f.iname, tuple(f.relationship)) for f in forms),
+                                   key=lambda it: iname_key(BOOK, it[0]))
 
     def test_pointers_resolve_to_live_hosts(self):
         rng = random.Random(72)
