@@ -11,8 +11,8 @@ from .scenario import load_scenario, run
 def _cmd_run(args) -> int:
     result = run(load_scenario(args.scenario))
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(result.trace.text())
+        with open(args.trace, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(f"{line}\n" for line in result.trace.lines)
     if args.metrics:
         with open(args.metrics, "w") as fh:
             fh.write(result.metrics.csv(args.run_id))

@@ -11,6 +11,7 @@ module alone records where each host lives and where each prefix routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .model import AccessPolicy, OonError, PName, format_pname
@@ -38,6 +39,17 @@ class DataMessage:
     payload: bytes = b""
     hop_limit: int = 64
     visited: list = field(default_factory=list)  # routers seen; instrumentation
+
+    @cached_property
+    def ends(self) -> tuple:
+        """Caller and callee as `<p-name>.<method>`, formatted at first use."""
+        return (f"{format_pname(self.caller)}.{self.caller_method}",
+                f"{format_pname(self.callee)}.{self.callee_method}")
+
+    @cached_property
+    def trace_head(self) -> str:
+        """A router visit's trace line but its domain; hop_limit is not in it."""
+        return f"DATA {self.ends[0]} -> {self.ends[1]} reply={self.reply_to_method} hop="
 
 
 @dataclass
@@ -238,10 +250,7 @@ class DataNetwork:
 
     def _on_router(self, domain: Domain, msg: DataMessage) -> None:
         msg.visited.append(domain.name)
-        self.trace.log(
-            f"DATA {format_pname(msg.caller)}.{msg.caller_method} -> "
-            f"{format_pname(msg.callee)}.{msg.callee_method} "
-            f"reply={msg.reply_to_method} hop={domain.name}")
+        self.trace.log(msg.trace_head + domain.name)
         decision, arg = route_data(domain, msg)
         if decision == "drop":
             self._drop(arg)
@@ -267,11 +276,7 @@ class DataNetwork:
                 return
         self.metrics.delivered["data"] += 1
         self.metrics.data_hops.append(len(msg.visited) - 1)
-        self.deliveries.append((
-            self.loop.now,
-            f"{format_pname(msg.caller)}.{msg.caller_method}->"
-            f"{format_pname(msg.callee)}.{msg.callee_method}",
-            tuple(msg.visited)))
+        self.deliveries.append((self.loop.now, "->".join(msg.ends), tuple(msg.visited)))
         for out in dispatch(host, msg):
             self.send(out, domain.name)
 

@@ -45,7 +45,10 @@ class EventLoop:
 
 
 class Trace:
-    """Append-only run log; lines are prefixed with the current tick."""
+    """Append-only run log; lines are prefixed with the current tick.
+
+    sha256() streams the lines in chunks and never holds the whole text.
+    """
 
     def __init__(self, loop: EventLoop):
         self._loop = loop
@@ -60,7 +63,10 @@ class Trace:
         return "\n".join(self.lines) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.text().encode("utf-8")).hexdigest()
+        digest = hashlib.sha256()
+        for i in range(0, len(self.lines), 4096):
+            digest.update(("\n".join(self.lines[i:i + 4096]) + "\n").encode("utf-8"))
+        return digest.hexdigest()
 
 
 METRICS_CSV_HEADER = ("run_id,messages_sent,delivered,dropped,"

@@ -1,5 +1,6 @@
 """The oon-sim command line: run and validate."""
 
+import hashlib
 import pathlib
 
 import pytest
@@ -22,3 +23,11 @@ def test_run_prints_golden_hash(capsys, name):
 @pytest.mark.parametrize("name", ["golden.json", "fault.json"])
 def test_validate_accepts_scenario(name):
     assert main(["validate", str(SCENARIOS / name)]) == 0
+
+
+@pytest.mark.parametrize("name", ["golden.json", "fault.json"])
+def test_trace_file_bytes_hash_to_the_printed_hash(capsys, tmp_path, name):
+    trace_file = tmp_path / "trace.log"
+    assert main(["run", str(SCENARIOS / name), "--trace", str(trace_file)]) == 0
+    digest = hashlib.sha256(trace_file.read_bytes()).hexdigest()
+    assert f"trace_sha256={digest}" in capsys.readouterr().out.splitlines()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 from oonsim import (
@@ -11,7 +12,7 @@ from oonsim import (
     run_push,
 )
 from oonsim.datalayer import Domain
-from oonsim.model import AccessPolicy, Rule
+from oonsim.model import AccessPolicy, Rule, format_pname
 
 from conftest import make_datanet
 
@@ -32,6 +33,13 @@ def _wire(net, placements, extra_methods=()):
     for domain, gid, _ in placements:
         net.install_routes(gid, domain)
     return hosts
+
+
+def _data_line(tick, msg, hop):
+    """A router visit's trace line, formatted in full as each visit once did."""
+    return (f"t={tick} DATA {format_pname(msg.caller)}.{msg.caller_method} -> "
+            f"{format_pname(msg.callee)}.{msg.callee_method} "
+            f"reply={msg.reply_to_method} hop={hop}")
 
 
 class TestPlacement:
@@ -290,6 +298,11 @@ class TestRoutingProperties:
         assert st.outcome == "failed"
         router_visits = [line for line in net.trace.lines if " DATA " in line]
         assert len(router_visits) == 65
+        looping = DataMessage(caller=producer.pname, caller_method="SendDataTo",
+                              callee=PName(99, 1), callee_method="SinkDataFrom",
+                              reply_to_method="SinkDataFrom")
+        assert router_visits == [_data_line(t, looping, ("d1", "d2")[t % 2])
+                                 for t in range(65)]
         assert net.metrics.drops_by_cause == {"hop_limit": 1}
         assert net.metrics.conservation_holds()
         assert net.loop.now == 64
@@ -313,3 +326,53 @@ class TestRoutingProperties:
         assert net.metrics.conservation_holds()
         assert net.metrics.sent["data"] == \
             net.metrics.delivered["data"] + net.metrics.dropped["data"]
+
+
+class TestTraceLines:
+    """DATA lines and delivery summaries, byte for byte."""
+
+    def _chain(self):
+        names = ("d1", "d2", "d3", "d4")
+        net = make_datanet(domains=names,
+                           links=[(a, b, 1) for a, b in zip(names, names[1:])])
+        return net, _wire(net, [("d1", 1, 1), ("d4", 2, 1)])
+
+    def test_each_router_logs_its_own_hop(self):
+        net, hosts = self._chain()
+        msg = hosts[(1, 1)].emit(PName(2, 1), "SinkDataFrom", b"x",
+                                 caller_method="GetDataFrom", reply_to="Ingest")
+        net.send(msg, "d1")
+        net.loop.run()
+        want = [_data_line(t, msg, hop) for t, hop in enumerate(("d1", "d2", "d3", "d4"))]
+        assert net.trace.lines == want
+        summary = (f"{format_pname(PName(1, 1))}.GetDataFrom->"
+                   f"{format_pname(PName(2, 1))}.SinkDataFrom")
+        assert net.deliveries == [(3, summary, ("d1", "d2", "d3", "d4"))]
+
+    def test_unknown_method_reply_is_logged_at_every_router(self):
+        net, hosts = self._chain()
+        request = hosts[(2, 1)].emit(PName(1, 1), "Frobnicate", b"",
+                                     caller_method="GetDataFrom")
+        net.send(request, "d4")
+        net.loop.run()
+        reply = DataMessage(caller=PName(1, 1), caller_method="Frobnicate",
+                            callee=PName(2, 1), callee_method="SinkDataFrom",
+                            reply_to_method="SinkDataFrom")
+        want = ([_data_line(t, request, hop) for t, hop in enumerate(("d4", "d3", "d2", "d1"))]
+                + [_data_line(3 + t, reply, hop)
+                   for t, hop in enumerate(("d1", "d2", "d3", "d4"))])
+        assert net.trace.lines == want
+        assert hosts[(2, 1)].buffers == [("SinkDataFrom", b"error:unknown-method:Frobnicate")]
+        assert [s for _, s, _ in net.deliveries] == [
+            f"{format_pname(PName(2, 1))}.GetDataFrom->{format_pname(PName(1, 1))}.Frobnicate",
+            f"{format_pname(PName(1, 1))}.Frobnicate->{format_pname(PName(2, 1))}.SinkDataFrom"]
+
+    def test_formatted_head_is_not_part_of_equality_or_repr(self):
+        net, hosts = self._chain()
+        msg = hosts[(1, 1)].emit(PName(2, 1), "SinkDataFrom", b"x")
+        net.send(msg, "d1")
+        net.loop.run()
+        twin = dataclasses.replace(msg, visited=list(msg.visited))
+        assert "trace_head" in vars(msg) and "trace_head" not in vars(twin)
+        assert twin == msg
+        assert repr(twin) == repr(msg)

@@ -1,6 +1,10 @@
-import pytest
+import hashlib
 
-from oonsim import EventLoop
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oonsim import EventLoop, Trace
 
 
 def _recorder(loop):
@@ -48,3 +52,16 @@ def test_negative_delay_rejected():
     with pytest.raises(ValueError):
         loop.post(-1, print)
     assert loop.run() == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text()))
+@example([])
+@example(["one line"])
+@example(["naïve café", "日本語 の 行", "a  b ", " "])
+@example([f"t={i} line {i}" for i in range(4096)])
+@example([f"t={i} line {i}" for i in range(4097)])
+def test_streamed_hash_equals_the_hash_of_the_text(lines):
+    trace = Trace(EventLoop())
+    trace.lines.extend(lines)
+    assert trace.sha256() == hashlib.sha256(trace.text().encode("utf-8")).hexdigest()
