@@ -264,7 +264,6 @@ class DataNetwork:
             self._deliver(domain, arg, msg)
 
     def _drop(self, cause: str) -> None:
-        self.metrics.dropped["data"] += 1
         self.metrics.drops_by_cause[cause] += 1
 
     def _deliver(self, domain: Domain, host: ObjectHost, msg: DataMessage) -> None:
@@ -275,7 +274,7 @@ class DataNetwork:
                 self._drop("exchange_denied")
                 return
         self.metrics.delivered["data"] += 1
-        self.metrics.data_hops.append(len(msg.visited) - 1)
+        self.metrics.data_hop_total += len(msg.visited) - 1
         self.deliveries.append((self.loop.now, "->".join(msg.ends), tuple(msg.visited)))
         for out in dispatch(host, msg):
             self.send(out, domain.name)

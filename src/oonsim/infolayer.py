@@ -6,12 +6,12 @@ to relay nodes.  A request (xFind) travels down its entry node's
 breadth-first tree of the relay nodes, computed from nothing but the static
 partition map, so each node serves it at most once; responses (Results)
 climb the same tree's parent pointers back to the entry node.  No routing
-state is ever exchanged between nodes.  Each node keeps each cell's forms
-in key order, so a find reads only its target cells, in coordinate order.
-A cell that lies wholly inside the query is covered: its forms go out as
-one slice, or past the access check alone if one has a restricted view
-rule; elsewhere a find bisects on the first dimension and reads defining
-values from each stored key.
+state is ever exchanged between nodes.  A node's cells are its only store,
+each keeping its forms in key order, so a find reads only its target cells,
+in coordinate order.  A cell that lies wholly inside the query is covered:
+its forms go out as one slice, or past the access check alone if one has a
+restricted view rule; elsewhere a find bisects on the first dimension and
+reads defining values from each stored key.
 """
 
 from __future__ import annotations
@@ -64,21 +64,7 @@ class Action(Enum):
 class SegmentCuts:
     """Per-attribute sorted boundary keys; k boundaries make k+1 segments."""
 
-    per_attribute: tuple  # tuple of (attribute, tuple of boundary keys)
-
-    def __post_init__(self):
-        per = self.per_attribute
-        if isinstance(per, dict):
-            per = tuple((n, tuple(c)) for n, c in per.items())
-        else:
-            per = tuple((n, tuple(c)) for n, c in per)
-        object.__setattr__(self, "per_attribute", per)
-
-    def cuts_for(self, attribute: str) -> tuple:
-        for name, cuts in self.per_attribute:
-            if name == attribute:
-                return cuts
-        return ()
+    per_attribute: dict  # attribute -> boundary keys, as the caller gave them
 
 
 @dataclass(frozen=True)
@@ -102,9 +88,17 @@ def _restricted(form: Optional[InformationalForm]) -> bool:
 @dataclass
 class IRNNode:
     irn_id: int
-    owned: set = field(default_factory=set)          # grid coordinates
-    store: dict = field(default_factory=dict)        # normalized key -> form
-    cells: dict = field(default_factory=dict)        # owned coordinate -> Cell
+    cells: dict = field(default_factory=dict)        # owned coordinate -> Cell; the only store
+
+    @property
+    def owned(self):
+        """The grid coordinates this node owns, as a set-like view."""
+        return self.cells.keys()
+
+    @property
+    def store(self) -> dict:
+        """Normalized key -> form over every cell, built when read."""
+        return {k: f for cell in self.cells.values() for k, f in zip(cell.keys, cell.forms)}
 
 
 @dataclass
@@ -140,11 +134,11 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
         raise ValueError("irn_count must be >= 1")
     dim_cuts = []
     for name, _ in cls.defining_attributes:
-        c = cuts.cuts_for(name)
-        if any(c[i] >= c[i + 1] for i in range(len(c) - 1)):
+        c = tuple(cuts.per_attribute.get(name, ()))
+        if any(a >= b for a, b in zip(c, c[1:])):
             raise InvalidCuts(f"boundaries for {name!r} not strictly increasing")
-        dim_cuts.append(tuple(c))
-    for name, _ in cuts.per_attribute:
+        dim_cuts.append(c)
+    for name in cuts.per_attribute:
         if name not in cls.defining_names:
             raise InvalidCuts(f"{name!r} is not a defining attribute of {cls.class_name!r}")
     dims = tuple(len(c) + 1 for c in dim_cuts)
@@ -175,7 +169,6 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
 
     nodes = [IRNNode(i) for i in range(irn_count)]
     for coord, nid in assignment.items():
-        nodes[nid].owned.add(coord)
         nodes[nid].cells[coord] = Cell()
     return pmap, nodes
 
@@ -299,29 +292,28 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
         else:
             form = msg.payload
             coord = pmap.cell_of_iname(form.iname)
-            if coord not in node.owned:
+            cell = node.cells.get(coord)
+            if cell is None:
                 raise WrongOwner(
                     f"{msg.action.value} for cell {coord} routed to node {node.irn_id}")
             key = iname_key(cls, form.iname)
-            old = node.store.get(key)
+            i = bisect_left(cell.keys, key)
+            old = cell.forms[i] if cell.keys[i:i + 1] == [key] else None
             if msg.action is Action.REGISTER and old is not None:
                 results = _results(node, msg, ack=False, detail="AlreadyExists")
             elif msg.action is not Action.REGISTER and old is None:
                 results = _results(node, msg, ack=False, detail="NotFound")
             else:
-                cell = node.cells[coord]
-                i = bisect_left(cell.keys, key)
                 if msg.action is Action.REGISTER:
                     cell.keys.insert(i, key)
                     cell.forms.insert(i, form)
-                    node.store[key], detail = form, "Registered"
+                    detail = "Registered"
                 elif msg.action is Action.MODIFY:
-                    cell.forms[i] = node.store[key] = form
-                    detail = "Modified"
+                    cell.forms[i], detail = form, "Modified"
                 else:  # DELETE
-                    del cell.keys[i], cell.forms[i], node.store[key]
-                    detail = "Deleted"
-                cell.restricted += _restricted(node.store.get(key)) - _restricted(old)
+                    del cell.keys[i], cell.forms[i]
+                    form, detail = None, "Deleted"
+                cell.restricted += _restricted(form) - _restricted(old)
                 results = _results(node, msg, ack=True, detail=detail)
     forwards = []
     for nid, sub in next_hops(node, pmap, msg, msg.targets - node.owned):
@@ -443,9 +435,9 @@ class InfoNetwork:
         """Fold one results message into its request; dedupes per responder.
 
         No message is ever lost, so the request settles when its last
-        expected response arrives: complete when that is before its
-        deadline, else timeout at the deadline.  A response from the entry
-        alone arrives while the request is issued, so it is never late.
+        expected response arrives, and completed_at is that tick: complete
+        when it is before the deadline, else timeout.  A response from the
+        entry alone arrives while the request is issued, so it is never late.
         """
         rec = self.request(rmsg.request_id)
         if rmsg.responder in rec.responded:
@@ -456,16 +448,16 @@ class InfoNetwork:
             rec.ack = rmsg.ack
             rec.detail = rmsg.detail
         if rec.status == "pending" and rec.responded >= rec.expected:
-            due, now = rec.issued_at + self.deadline, self.loop.now
-            if rec.expected == {rmsg.entry} or now < due:
-                rec.status, rec.completed_at = "complete", now
-            else:
-                rec.status, rec.completed_at = "timeout", due
+            rec.completed_at = now = self.loop.now
+            late = rec.expected != {rmsg.entry} and now >= rec.issued_at + self.deadline
+            rec.status = "timeout" if late else "complete"
 
     # -- inspection -----------------------------------------------------------
 
     def all_forms(self) -> list:
-        return [node.store[key] for node in self.nodes for key in sorted(node.store)]
+        """Every stored form, node by node, each node's in key order."""
+        return [f for node in self.nodes
+                for _, f in sorted(node.store.items(), key=itemgetter(0))]
 
     def store_sizes(self) -> list:
         return [len(n.store) for n in self.nodes]

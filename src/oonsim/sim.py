@@ -83,9 +83,8 @@ class Metrics:
     def __init__(self):
         self.sent = Counter()        # by message type: data | xfind | results
         self.delivered = Counter()
-        self.dropped = Counter()     # by message type
-        self.drops_by_cause = Counter()
-        self.data_hops = []          # inter-domain hops per delivered data message
+        self.drops_by_cause = Counter()  # data messages only, by cause
+        self.data_hop_total = 0      # inter-domain hops over delivered data messages
         self.xfind_hops = []         # inter-relay hops per processed xfind
         self.fib_inter_size = 0      # max over routers at end of run
         self.fib_intra_size = 0
@@ -97,15 +96,15 @@ class Metrics:
         return sum(self.delivered.values())
 
     def messages_dropped(self) -> int:
-        return sum(self.dropped.values())
+        return sum(self.drops_by_cause.values())
 
     def conservation_holds(self) -> bool:
         return self.messages_sent() == self.messages_delivered() + self.messages_dropped()
 
     def mean_hops(self) -> float:
-        if not self.data_hops:
+        if not self.delivered["data"]:
             return 0.0
-        return sum(self.data_hops) / len(self.data_hops)
+        return self.data_hop_total / self.delivered["data"]
 
     def csv_row(self, run_id: str) -> str:
         return (f"{run_id},{self.messages_sent()},{self.messages_delivered()},"

@@ -85,7 +85,7 @@ class TestPlacement:
         assert net.domain("d1").fib.inter[2] == "d3"
         st = run_push(net, producer, PName(2, 2), 1)
         assert st.outcome == "completed"
-        assert net.metrics.data_hops == [1]
+        assert (net.metrics.delivered["data"], net.metrics.mean_hops()) == (1, 1.0)
 
     def test_remove_host_clears_its_domain(self):
         net = make_datanet()
@@ -202,7 +202,7 @@ class TestPull:
         net.remove_host(PName(1, 1))
         st = run_pull(net, hosts[(2, 1)], PName(1, 1), 3)
         assert st.outcome == "failed"
-        assert net.metrics.dropped["data"] == 1
+        assert net.metrics.messages_dropped() == 1
 
 
 class TestPush:
@@ -230,7 +230,7 @@ class TestPush:
         hosts = _wire(net, [("d2", 1, 1), ("d2", 1, 2)])
         st = run_push(net, hosts[(1, 1)], PName(1, 2), 1)
         assert st.outcome == "completed"
-        assert net.metrics.data_hops == [0]
+        assert (net.metrics.delivered["data"], net.metrics.mean_hops()) == (1, 0.0)
 
 
 class TestInteractive:
@@ -325,7 +325,7 @@ class TestRoutingProperties:
         run_pull(net, hosts[(2, 1)], PName(1, 1), 1)
         assert net.metrics.conservation_holds()
         assert net.metrics.sent["data"] == \
-            net.metrics.delivered["data"] + net.metrics.dropped["data"]
+            net.metrics.delivered["data"] + net.metrics.messages_dropped()
 
 
 class TestTraceLines:

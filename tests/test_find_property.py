@@ -10,8 +10,8 @@ finds check the forwarding: each relay node serves a request at most
 once, every node the request awaits responds, and hops stay within the
 grid's bound.  A second test interleaves register, modify, delete and find
 over forms with open, closed and class-limited view rules, and checks each
-node's cells against its store after every step, with finds from two
-requester classes against the oracle.  Two more
+node's cells and ``all_forms`` against a model of the live forms after
+every step, with finds from two requester classes against the oracle.  Two more
 check the shortcuts of a relay node's scan against the matcher itself: every
 stored form in a cell judged covered matches, and reading defining keys off
 the name agrees with normalizing the description.
@@ -229,6 +229,12 @@ def churn_cases(draw):
     (Action.DELETE, 0, ({"name": "a", "rank": 0, "note": "a"}, OPEN)),
     (Action.FIND, 0, ()),
 ]))
+# One node owns two cells of a row whose keys interleave, so all_forms
+# must order the node's forms by key, not cell by cell.
+@example(({"name": [], "rank": ["00000000000000000003"]}, 1, [
+    (Action.REGISTER, 0, ({"name": "b", "rank": 0, "note": "a"}, OPEN)),
+    (Action.REGISTER, 0, ({"name": "a", "rank": 5, "note": "a"}, OPEN)),
+]))
 def test_cell_index_tracks_the_store_under_churn(case):
     cuts, irn_count, steps = case
     net = make_info(ITEM, cuts, irn_count)
@@ -262,15 +268,19 @@ def test_cell_index_tracks_the_store_under_churn(case):
                     live[key] = form
             else:
                 assert net.request(rid).ack is (live.pop(key, None) is not None)
+        owner = {k: net.pmap.assignment[net.pmap.cell_of_key(k)] for k in live}
+        want = [live[k] for node in net.nodes
+                for k in sorted(k for k in live if owner[k] == node.irn_id)]
+        assert list(map(id, net.all_forms())) == list(map(id, want))
         for node in net.nodes:
-            for cell in node.cells.values():
+            assert set(node.owned) == set(node.cells)
+            assert len(node.store) == sum(len(cell.keys) for cell in node.cells.values())
+            for coord, cell in node.cells.items():
                 assert cell.keys == sorted(cell.keys)
-                assert cell.forms == [node.store[k] for k in cell.keys]
+                assert [iname_key(ITEM, f.iname) for f in cell.forms] == cell.keys
                 assert cell.restricted == sum(
                     f.policy.view_rule.kind != "allow_all" for f in cell.forms)
-            indexed = [(coord, k) for coord, cell in node.cells.items() for k in cell.keys]
-            assert sorted(k for _, k in indexed) == sorted(node.store)
-            assert all(net.pmap.cell_of_key(k) == coord for coord, k in indexed)
+                assert all(net.pmap.cell_of_key(k) == coord for k in cell.keys)
 
 
 @settings(max_examples=300, deadline=None,

@@ -332,7 +332,7 @@ class TestRequestLifecycle:
     # two hops away: at 11 with latency 1, at 7 with latency 0.
     # (title=dune, author=herbert) lies in entry 0's own cell.
     @pytest.mark.parametrize("query, latency, deadline, settled", [
-        ({}, 1, 2, ("timeout", 9)),
+        ({}, 1, 2, ("timeout", 11)),
         ({}, 1, 4, ("timeout", 11)),
         ({}, 1, 5, ("complete", 11)),
         ({}, 0, 0, ("timeout", 7)),
