@@ -9,9 +9,9 @@ climb the same tree's parent pointers back to the entry node.  No routing
 state is ever exchanged between nodes.  A node's cells are its only store,
 each keeping its forms in key order, so a find reads only its target cells,
 in coordinate order.  A cell that lies wholly inside the query is covered:
-its forms go out as one slice, or past the access check alone if one has a
-restricted view rule; elsewhere a find bisects on the first dimension and
-reads defining values from each stored key.
+all its forms match; elsewhere a find bisects on the first dimension and
+filters that slice with ``match_slice``, one comprehension per predicate.
+Only a cell that holds a form with a restricted view rule checks access.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .model import (
     ObjectClass,
     OonError,
     Query,
-    eval_query,
+    eval_query,  # noqa: F401 -- unused here; bench/layers.py wraps this name
     iname_key,
+    match_slice,
     query_intervals,
     validate_form,
     validate_query,
@@ -276,18 +277,17 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
         if msg.action is Action.FIND:
             q, who, matched = msg.payload, msg.requester, []
             lo, hi, hi_open = defining_bounds(q, cls)[0]
+            upper = bisect_left if hi_open else bisect_right
             for coord in sorted(local):
                 cell = node.cells[coord]
                 if cell_covered(pmap, q, coord):
-                    matched.extend([f for f in cell.forms if check_access(f, who)]
-                                   if cell.restricted else cell.forms)
-                    continue
-                i = 0 if lo is None else bisect_left(cell.keys, lo, key=itemgetter(0))
-                j = len(cell.keys) if hi is None else (bisect_left if hi_open else bisect_right)(
-                    cell.keys, hi, key=itemgetter(0))
-                for form in cell.forms[i:j]:
-                    if eval_query(q, form, cls) and check_access(form, who):
-                        matched.append(form)
+                    forms = cell.forms
+                else:
+                    i = 0 if lo is None else bisect_left(cell.keys, lo, key=itemgetter(0))
+                    j = len(cell.keys) if hi is None else upper(cell.keys, hi, key=itemgetter(0))
+                    forms = match_slice(q, cls, cell.keys[i:j], cell.forms[i:j])
+                matched.extend([f for f in forms if check_access(f, who)]
+                               if cell.restricted else forms)
             results = _results(node, msg, forms=tuple(matched))
         else:
             form = msg.payload
@@ -409,7 +409,7 @@ class InfoNetwork:
                        f"at=irn{node.irn_id} targets={_fmt_cells(msg.targets)}")
         results, forwards = handle_xfind(node, self.pmap, msg)
         self.metrics.delivered["xfind"] += 1
-        self.metrics.xfind_hops.append(len(msg.path))
+        self.metrics.xfind_hops[len(msg.path)] += 1
         if results is not None:
             self.metrics.sent["results"] += 1
             self._on_results(node, results)

@@ -323,33 +323,41 @@ def validate_query(q: Query, cls: ObjectClass) -> None:
 
 
 def eval_query(q: Query, form: InformationalForm, cls: ObjectClass) -> bool:
-    """True iff the form's normalized values lie in every non-ANY
-    predicate's interval; an absent value satisfies nothing but ANY.
-    Defining keys come from the name, which a valid form's description matches."""
+    """True iff the form matches the query: :func:`match_slice` of one form,
+    after checking that the query and the form are of the class."""
     if q.class_name != cls.class_name or form.iname.class_name != cls.class_name:
         raise ClassMismatch(
             f"query class {q.class_name!r} vs form class {form.iname.class_name!r}")
-    defining = iname_key(cls, form.iname)
+    return bool(match_slice(q, cls, (iname_key(cls, form.iname),), (form,)))
+
+
+def match_slice(q: Query, cls: ObjectClass, keys, forms) -> list:
+    """The forms whose values lie in every non-ANY predicate's interval, in
+    their order; keys[i] is forms[i]'s normalized defining key, which a
+    valid form's description matches.  Each predicate narrows the surviving
+    indices with one comprehension; an absent value satisfies nothing but ANY."""
+    live = range(len(forms))
     for name, kind, lo, hi, hi_open, pos in query_intervals(q, cls):
-        if pos is not None:
-            key = defining[pos]
-        elif (raw := form.description.get(name)) is None:
-            return False
+        col = keys
+        if pos is None:  # index -> (normalized value,) of the forms that have one
+            live = col = {i: (normalize_value(raw, kind),) for i in live
+                          if (raw := forms[i].description.get(name)) is not None}
+            pos = 0
+        if hi is None:
+            live = [i for i in live if col[i][pos] >= lo]
+        elif hi_open:
+            live = [i for i in live if lo <= col[i][pos] < hi]
         else:
-            key = normalize_value(raw, kind)
-        if key < lo:
-            return False
-        if hi is not None and (key >= hi if hi_open else key > hi):
-            return False
-    return True
+            live = [i for i in live if lo <= col[i][pos] <= hi]
+    return [forms[i] for i in live]
 
 
 def query_intervals(q: Query, cls: ObjectClass) -> tuple:
     """(attribute, kind, lo, hi, hi_open, pos) per non-ANY predicate, where
     pos is the attribute's index among the defining ones, or None.
 
-    Built on a query's first validation or evaluation against a class and
-    kept on the immutable query, so every form a find evaluates reuses them.
+    Built on a query's first validation or match against a class and kept
+    on the immutable query, so every slice a find matches reuses them.
     """
     cached = q.__dict__.get("_intervals")
     if cached is None or cached[0] is not cls:

@@ -28,8 +28,8 @@ from .model import (
     Query,
     Range,
     Rule,
-    eval_query,
     iname_key,
+    match_slice,
     validate_query,
 )
 from .sim import Metrics, Trace
@@ -420,9 +420,10 @@ def generate_workload(seed: int, n_objects: int, n_queries: int,
 
 def oracle_find(forms, query: Query, cls: ObjectClass,
                 requester: Requester = Requester("anonymous")) -> list:
-    """Linear scan reference for find: no partition logic involved."""
-    return [f for f in forms
-            if eval_query(query, f, cls) and check_access(f, requester)]
+    """Linear scan reference for find: match_slice over every form, no partitions."""
+    forms = list(forms)
+    return [f for f in match_slice(query, cls, [iname_key(cls, f.iname) for f in forms], forms)
+            if check_access(f, requester)]
 
 
 def result_keys(forms, cls: ObjectClass) -> set:

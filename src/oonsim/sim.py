@@ -85,7 +85,7 @@ class Metrics:
         self.delivered = Counter()
         self.drops_by_cause = Counter()  # data messages only, by cause
         self.data_hop_total = 0      # inter-domain hops over delivered data messages
-        self.xfind_hops = []         # inter-relay hops per processed xfind
+        self.xfind_hops = Counter()  # inter-relay hops -> processed xfinds
         self.fib_inter_size = 0      # max over routers at end of run
         self.fib_intra_size = 0
 

@@ -14,7 +14,10 @@ node's cells and ``all_forms`` against a model of the live forms after
 every step, with finds from two requester classes against the oracle.  Two more
 check the shortcuts of a relay node's scan against the matcher itself: every
 stored form in a cell judged covered matches, and reading defining keys off
-the name agrees with normalizing the description.
+the name agrees with normalizing the description.  The last checks the
+slice matcher that relay nodes, ``eval_query`` and ``oracle_find`` share
+against matching each form on its description, over queries that may hold
+two predicates on one attribute.
 """
 
 from hypothesis import HealthCheck, example, given, settings
@@ -41,7 +44,7 @@ from oonsim import (
 )
 
 from oonsim.infolayer import cell_covered
-from oonsim.model import ALLOW_ALL, DENY_ALL, eval_query, query_intervals
+from oonsim.model import ALLOW_ALL, DENY_ALL, eval_query, match_slice, query_intervals
 
 from conftest import make_info
 
@@ -150,6 +153,11 @@ def reference_match(pred, raw, kind) -> bool:
 @example(({"name": ["\U0010ffff"], "rank": []}, 2,
           [{"name": "\U0010ffff\U0010ffff", "rank": 1}, {"name": "z", "rank": 2}],
           (("name", Prefix("\U0010ffff")),), 1))
+# Two predicates on the first attribute: a relay node bisects on the
+# first alone, so its matcher must apply both.
+@example(({"name": [], "rank": []}, 1,
+          [{"name": "a", "rank": 1}, {"name": "ab", "rank": 2}, {"name": "b", "rank": 3}],
+          (("name", Prefix("a")), ("name", Range("a", "aa"))), 0))
 # A request entering at a node that owns no cell (more nodes than cells).
 @example(({"name": [], "rank": []}, 2, [], (), 1))
 # A one-value range that case-folds onto a cut.
@@ -170,7 +178,7 @@ def test_networked_find_equals_reference(case):
             stored.append(form)
     query = Query("item", preds)
     assert locate_partitions(net.pmap, query)
-    hops_before = len(net.metrics.xfind_hops)
+    hops_before = net.metrics.xfind_hops.copy()
     rid = net.issue_request(entry, Action.FIND, query, REQ)
     net.loop.run()
     request = net.request(rid)
@@ -185,7 +193,7 @@ def test_networked_find_equals_reference(case):
     assert len(visits) == len(set(visits))
     assert request.responded == request.expected
     bound = net.pmap.max_hops() if net.nodes[entry].owned else 1
-    assert max(net.metrics.xfind_hops[hops_before:], default=0) <= bound
+    assert max(net.metrics.xfind_hops - hops_before, default=0) <= bound
 
 
 @st.composite
@@ -337,3 +345,45 @@ def test_matching_on_the_stored_key_equals_matching_on_the_description(case):
     for row in rows:
         form = make_form(ITEM, row)
         assert eval_query(query, form, ITEM) == eval_on_description(query, form, ITEM)
+
+
+@st.composite
+def slice_cases(draw):
+    """Rows, some without their extra attributes, and predicates whose
+    attributes may repeat, so one attribute can hold two predicates."""
+    rows = draw(st.lists(
+        st.fixed_dictionaries({"name": texts, "rank": integers},
+                              optional={"note": texts, "size": integers}),
+        max_size=12))
+    pools = value_pools([], [], rows)
+    attrs = draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=5))
+    return rows, tuple((a, draw(predicates(KINDS[a], pools[a]))) for a in attrs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slice_cases())
+# Two predicates on the first attribute, which a relay node bisects on
+# the first alone: "ab" starts with "a" but lies outside the range.
+@example(([{"name": "a", "rank": 1}, {"name": "ab", "rank": 2}, {"name": "b", "rank": 3}],
+          (("name", Prefix("a")), ("name", Range("a", "aa")))))
+# A prefix of only U+10FFFF has no upper bound; one that ends in it has one.
+@example(([{"name": "\U0010ffff", "rank": 1}, {"name": "a\U0010ffffb", "rank": 2},
+           {"name": "b", "rank": 3}],
+          (("name", Prefix("\U0010ffff")),)))
+@example(([{"name": "a\U0010ffffb", "rank": 1}, {"name": "ab", "rank": 2},
+           {"name": "b", "rank": 3}],
+          (("name", Prefix("a\U0010ffff")),)))
+# Integer predicates on a defining and an extra attribute, with the extra
+# value absent from one form and 0, which is falsy, in another.
+@example(([{"name": "a", "rank": 3, "size": 0}, {"name": "a", "rank": 4},
+           {"name": "a", "rank": 5, "size": 7}],
+          (("rank", Range(3, 5)), ("size", Range(0, 7)), ("size", Eq(0)))))
+def test_match_slice_equals_matching_each_form(case):
+    rows, preds = case
+    forms = [make_form(ITEM, row) for row in rows]
+    query = Query("item", preds)
+    keys = [iname_key(ITEM, f.iname) for f in forms]
+    want = [f for f in forms if eval_on_description(query, f, ITEM)]
+    assert list(map(id, match_slice(query, ITEM, keys, forms))) == list(map(id, want))
+    assert want == [f for f in forms if all(
+        reference_match(p, f.description.get(a), KINDS[a]) for a, p in preds)]

@@ -17,7 +17,6 @@ from oonsim import (
     allow_classes,
     build_partition_map,
     check_access,
-    eval_query,
     handle_xfind,
     iname_key,
     locate_partitions,
@@ -33,7 +32,7 @@ from oonsim.infolayer import (
     WrongOwner,
     XFindMessage,
 )
-from oonsim.model import OPEN_POLICY, AccessPolicy, KindMismatch, OonError, Rule
+from oonsim.model import OPEN_POLICY, AccessPolicy, KindMismatch, OonError, Rule, match_slice
 
 from conftest import BOOK, make_info
 
@@ -207,34 +206,36 @@ class TestHandleXfind:
 
 
 class TestNarrowedScan:
-    """A find evaluates only the stored forms that could match: those in
-    its local target cells whose first key lies in the query's interval.
-    In a cell that lies wholly inside the query, it evaluates none."""
+    """A find hands the matcher only the stored forms that could match:
+    those in its local target cells whose first key lies in the query's
+    interval.  In a cell that lies wholly inside the query, it hands none."""
 
     TITLES = ("dune", "emma", "ubik", "zorba")
     AUTHORS = ("asimov", "herbert", "tolkien", "zelazny")
     HIDDEN = AccessPolicy(view_rule=Rule("deny_all"))
+    LIMITED = AccessPolicy(view_rule=allow_classes(REQ.class_name))
 
-    def _find(self, monkeypatch, query, hidden=()):
+    def _find(self, monkeypatch, query, hidden=(), limited=(), who=REQ):
         # one node owns all four cells of the 2x2 grid, which hold
-        # every title/author pair; pair i has i pages, and the pairs in
-        # hidden deny every view
+        # every title/author pair; pair i has i pages, the pairs in
+        # hidden deny every view and those in limited allow REQ's class
         net = make_info(irn_count=1)
         pairs = [(t, a) for t in self.TITLES for a in self.AUTHORS]
         for pages, (title, author) in enumerate(pairs):
-            policy = self.HIDDEN if (title, author) in hidden else OPEN_POLICY
+            policy = (self.HIDDEN if (title, author) in hidden else
+                      self.LIMITED if (title, author) in limited else OPEN_POLICY)
             form = make_form(BOOK, {"title": title, "author": author, "pages": pages},
                              policy=policy)
             net.issue_request(0, Action.REGISTER, form, REQ)
             net.loop.run()
         evaluated = []
 
-        def counting(q, form, cls):
-            evaluated.append(form)
-            return eval_query(q, form, cls)
+        def recording(q, cls, keys, forms):
+            evaluated.extend(forms)
+            return match_slice(q, cls, keys, forms)
 
-        monkeypatch.setattr(infolayer, "eval_query", counting)
-        rid = net.issue_request(0, Action.FIND, query, REQ)
+        monkeypatch.setattr(infolayer, "match_slice", recording)
+        rid = net.issue_request(0, Action.FIND, query, who)
         net.loop.run()
         return net, net.request(rid).forms, evaluated
 
@@ -275,6 +276,20 @@ class TestNarrowedScan:
         _, forms, evaluated = self._find(monkeypatch, Query("book", {"pages": Range(0, 7)}))
         assert len(evaluated) == 16
         assert sorted(f.description["pages"] for f in forms) == list(range(8))
+
+
+    def test_restricted_form_in_a_partial_cell_is_checked(self, monkeypatch):
+        # title = dune covers no cell, so the node matches the slices of
+        # (0, 0) and (0, 1), each holding one restricted form
+        query = Query("book", {"title": Eq("dune")})
+        hidden, limited = {("dune", "asimov")}, {("dune", "tolkien")}
+        for who, shown in ((REQ, ["herbert", "tolkien", "zelazny"]),
+                           (Requester("sensor"), ["herbert", "zelazny"])):
+            net, forms, evaluated = self._find(monkeypatch, query, hidden, limited, who)
+            assert not any(infolayer.cell_covered(net.pmap, query, c)
+                           for c in net.nodes[0].owned)
+            assert len(evaluated) == 4
+            assert [f.description["author"] for f in forms] == shown
 
 
 class TestRequestLifecycle:
