@@ -80,13 +80,18 @@ _STEP_OBJECTS = {
     "discover": (), "audit": (),
 }
 
+# The most chunks or turns a step may name: run() sends a message for each.
+MAX_STEP_COUNT = 100_000
 
-def _int(value, where: str, minimum: Optional[int] = None) -> int:
-    """A JSON integer, no smaller than minimum when one is given."""
+
+def _int(value, where: str, minimum: int = None, maximum: int = None) -> int:
+    """A JSON integer within [minimum, maximum], each bound when given."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(where, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(where, f"{value} is below the minimum {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(where, f"{value} is above the maximum {maximum}")
     return value
 
 
@@ -249,7 +254,7 @@ def parse_scenario(raw: dict) -> Scenario:
             _known(step[key], objects, where, "object")
         for key in ("chunks", "turns"):
             if key in step:
-                _int(step[key], f"{where}.{key}", minimum=1)
+                _int(step[key], f"{where}.{key}", minimum=1, maximum=MAX_STEP_COUNT)
         if action == "pull" and not isinstance(step.get("reply_to", ""), str):
             raise ValidationError(f"{where}.reply_to",
                                   f"expected a string, got {step['reply_to']!r}")

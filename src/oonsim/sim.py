@@ -9,16 +9,18 @@ forwarding element's table entry names the next element directly.
 from __future__ import annotations
 
 import hashlib
-import heapq
-from collections import Counter
+from bisect import insort
+from collections import Counter, deque
 
 
 class EventLoop:
-    """Single-threaded deterministic event loop."""
+    """Single-threaded deterministic event loop over one deque in (tick, seq)
+    order: an event due no earlier than the last queued one is appended in
+    O(1), and one due earlier is inserted in place."""
 
     def __init__(self):
         self.now = 0
-        self._heap = []
+        self._queue = deque()
         self._seq = 0
         self._last = (-1, -1)
 
@@ -26,16 +28,20 @@ class EventLoop:
         """Schedule handler(*args) delay ticks from now."""
         if delay < 0:
             raise ValueError("negative delay")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, handler, args))
+        event = (self.now + delay, self._seq, handler, args)
+        if self._queue and event[0] < self._queue[-1][0]:
+            insort(self._queue, event)
+        else:
+            self._queue.append(event)
         self._seq += 1
 
     def run(self, max_events: int = None) -> int:
         """Drain the queue; returns the number of events processed."""
         processed = 0
-        while self._heap:
+        while self._queue:
             if max_events is not None and processed >= max_events:
                 break
-            tick, seq, handler, args = heapq.heappop(self._heap)
+            tick, seq, handler, args = self._queue.popleft()
             assert (tick, seq) > self._last, "event ordering violated"
             self._last = (tick, seq)
             self.now = tick

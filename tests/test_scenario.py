@@ -15,7 +15,7 @@ from oonsim import (
 )
 from oonsim.infolayer import Action, Requester
 from oonsim.model import Eq, Prefix, Query, make_form
-from oonsim.scenario import ScenarioParseError, ValidationError, parse_query
+from oonsim.scenario import MAX_STEP_COUNT, ScenarioParseError, ValidationError, parse_query
 
 from conftest import BOOK
 from test_lifecycle import make_world
@@ -231,6 +231,16 @@ class TestParsing:
         with pytest.raises(ValidationError) as exc:
             parse_scenario(raw)
         assert exc.value.where.startswith(where)
+
+    @pytest.mark.parametrize("step, key", [(9, "chunks"), (10, "chunks"), (11, "turns")])
+    def test_chunks_and_turns_are_bounded(self, step, key):
+        raw = golden_raw()
+        raw["script"][step][key] = MAX_STEP_COUNT
+        assert parse_scenario(raw).script[step][key] == MAX_STEP_COUNT
+        raw["script"][step][key] = 10**20
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where == f"script[{step}].{key}"
 
     def test_root_that_is_not_an_object_is_rejected(self):
         with pytest.raises(ValidationError) as exc:

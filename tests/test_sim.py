@@ -47,6 +47,53 @@ def test_max_events_stops_early_and_a_second_run_resumes():
     assert seen == [(i, i) for i in range(5)]
 
 
+@pytest.mark.parametrize("max_events", [0, -1])
+def test_max_events_zero_or_negative_processes_nothing(max_events):
+    loop = EventLoop()
+    seen, handler = _recorder(loop)
+    for i in range(3):
+        loop.post(i, handler, i)
+    assert loop.run(max_events=max_events) == 0
+    assert seen == [] and loop.now == 0
+    assert loop.run() == 3
+    assert seen == [(i, i) for i in range(3)]
+
+
+# Each case: the delays posted before the first run, the delays the i-th
+# processed event posts, and the max_events of each run before a last
+# run() that drains the queue.
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=6),
+       st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=12),
+       st.lists(st.sampled_from([None, 0, 1, 2, 3]), max_size=5))
+# The tick-0 event posts a tick-1 event behind the two queued at tick 1
+# and ahead of tick 3, and the first run stops just after that insert.
+@example([0, 1, 1, 3], [[1]], [1])
+# Two inserts at the head's own tick, after a run cut at 0.
+@example([4, 0], [[0, 0], [4]], [0, None])
+def test_events_run_in_tick_seq_order_across_cut_runs(delays, children, cuts):
+    loop = EventLoop()
+    posted, processed = [], []
+
+    def post(delay):
+        posted.append((loop.now + delay, len(posted)))
+        loop.post(delay, handler, *posted[-1])
+
+    def handler(tick, seq):
+        assert loop.now == tick
+        processed.append((tick, seq))
+        if len(processed) <= len(children):
+            for delay in children[len(processed) - 1]:
+                post(delay)
+
+    for delay in delays:
+        post(delay)
+    counts = [loop.run(max_events=n) for n in cuts] + [loop.run()]
+    assert processed == sorted(posted)
+    assert sum(counts) == len(posted)
+    assert loop.run() == 0
+
+
 def test_negative_delay_rejected():
     loop = EventLoop()
     with pytest.raises(ValueError):
