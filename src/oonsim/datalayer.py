@@ -139,7 +139,7 @@ class Domain:
     name: str
     fib: ForwardingTable = field(default_factory=ForwardingTable)
     interfaces: dict = field(default_factory=dict)   # peer domain name -> link latency
-    hosts: dict = field(default_factory=dict)        # (GlobalId, LocalId) -> ObjectHost
+    hosts: dict = field(default_factory=dict)        # PName -> ObjectHost
     owned_globals: set = field(default_factory=set)
 
 
@@ -148,9 +148,9 @@ def route_data(domain: Domain, msg: DataMessage):
 
     Returns ("deliver", host) | ("forward", interface id) | ("drop", cause).
     """
-    gid, lid = msg.callee.global_id, msg.callee.local_id
+    gid = msg.callee.global_id
     if gid in domain.owned_globals:
-        host = domain.hosts.get((gid, lid))
+        host = domain.hosts.get(msg.callee)
         if host is None:
             return ("drop", "no_such_local")
         return ("deliver", host)
@@ -195,7 +195,7 @@ class DataNetwork:
         """Attach the host and route its GlobalId prefix to this domain."""
         d = self.domain(domain_name)
         gid = host.pname.global_id
-        d.hosts[(gid, host.pname.local_id)] = host
+        d.hosts[host.pname] = host
         d.owned_globals.add(gid)
         self.hosts[host.pname] = host
         host.domain = domain_name
@@ -204,7 +204,7 @@ class DataNetwork:
     def remove_host(self, pname: PName) -> ObjectHost:
         host = self.hosts.pop(pname)
         d = self.domains[host.domain]
-        del d.hosts[(pname.global_id, pname.local_id)]
+        del d.hosts[pname]
         d.owned_globals = {h.pname.global_id for h in d.hosts.values()}
         host.domain = None
         return host

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
 from typing import Optional
@@ -238,6 +238,8 @@ def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> 
     entry's tree, so climbing the owner's parent pointers reaches the
     child of this node it hangs under.  Targets sharing a child are batched.
     """
+    if not targets:  # a write's owner, or a leaf of a find
+        return []
     parent = pmap.routes[msg.path[0] if msg.path else node.irn_id]
     groups = {}
     for t in targets:
@@ -315,9 +317,10 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
                     form, detail = None, "Deleted"
                 cell.restricted += _restricted(form) - _restricted(old)
                 results = _results(node, msg, ack=True, detail=detail)
-    forwards = []
-    for nid, sub in next_hops(node, pmap, msg, msg.targets - node.owned):
-        forwards.append((nid, replace(msg, targets=sub, path=msg.path + (node.irn_id,))))
+    path = msg.path + (node.irn_id,)
+    forwards = [(nid, XFindMessage(msg.request_id, msg.action, msg.payload, msg.requester,
+                                   sub, path))
+                for nid, sub in next_hops(node, pmap, msg, msg.targets - node.owned)]
     return results, forwards
 
 
@@ -464,7 +467,8 @@ class InfoNetwork:
 
 
 def _fmt_cells(cells) -> str:
-    return "|".join("(" + ",".join(str(x) for x in c) + ")" for c in sorted(cells))
+    return "|".join("(" + ",".join(map(str, c)) + ")"
+                    for c in (cells if len(cells) == 1 else sorted(cells)))
 
 
 def _fmt_results(rmsg: ResultsMessage) -> str:

@@ -11,6 +11,7 @@ p-name, home domain and informational form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .datalayer import (
@@ -92,6 +93,9 @@ class DiscoveryResult:
 
 @dataclass
 class AuditReport:
+    """dangling is in class-name order, then relay-node order, then key
+    order within a node; orphans is in (domain, p-name) order."""
+
     dangling: list       # (IName, PName) pointers with no live host
     orphans: list        # hosted pnames with no covering informational form
 
@@ -257,18 +261,21 @@ class World:
         Orphans are informational, not failures: publishing is optional for
         objects whose pname is made known by other means.
         """
-        dangling = []
-        referenced = set()
+        dangling, referenced, hosts = [], set(), self.datanet.hosts
         for class_name in sorted(self.info):
-            for form in self.info[class_name].all_forms():
-                for p in form.relationship:
-                    referenced.add(p)
-                    if self.datanet.host_of(p) is None:
-                        dangling.append((form.iname, p))
-        hosts = sorted(self.datanet.hosts.values(),
-                       key=lambda h: (h.domain, h.pname.global_id, h.pname.local_id))
-        orphans = [h.pname for h in hosts if h.pname not in referenced]
-        return AuditReport(dangling, orphans)
+            for node in self.info[class_name].nodes:
+                here = []
+                for cell in node.cells.values():
+                    for key, form in zip(cell.keys, cell.forms):
+                        for p in form.relationship:
+                            referenced.add(p)
+                            if p not in hosts:
+                                here.append((key, form.iname, p))
+                here.sort(key=itemgetter(0))  # stable: a form's pointers keep their order
+                dangling.extend((iname, p) for _, iname, p in here)
+        orphans = sorted((h.domain, h.pname) for h in hosts.values()
+                         if h.pname not in referenced)
+        return AuditReport(dangling, [p for _, p in orphans])
 
     # -- sessions -------------------------------------------------------------
 

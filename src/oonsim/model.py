@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 U64_MAX = 2**64 - 1
 INT_KEY_WIDTH = 20
@@ -113,20 +113,18 @@ class ObjectClass:
         object.__setattr__(self, "defining_attributes", defining)
         object.__setattr__(self, "extra_description_attributes", extra)
         object.__setattr__(self, "methods", tuple(methods))
-
-    @property
-    def defining_names(self) -> tuple:
-        return tuple(n for n, _ in self.defining_attributes)
+        # derived once; not fields, so equality, hash and repr ignore them
+        object.__setattr__(self, "defining_names", tuple(n for n, _ in defining))
+        object.__setattr__(self, "_kinds", dict(defining + extra))
 
     def kind_of(self, attribute: str) -> AttributeKind:
-        for n, k in self.defining_attributes + self.extra_description_attributes:
-            if n == attribute:
-                return k
-        raise UnknownAttribute(f"{attribute!r} not declared by class {self.class_name!r}")
+        kind = self._kinds.get(attribute)
+        if kind is None:
+            raise UnknownAttribute(f"{attribute!r} not declared by class {self.class_name!r}")
+        return kind
 
     def declares(self, attribute: str) -> bool:
-        return any(n == attribute
-                   for n, _ in self.defining_attributes + self.extra_description_attributes)
+        return attribute in self._kinds
 
 
 @dataclass(frozen=True)
@@ -140,20 +138,27 @@ class IName:
         object.__setattr__(self, "values", tuple(self.values))
 
 
-@dataclass(frozen=True)
-class PName:
+class PName(NamedTuple):
     """Fixed-size two-component routing identifier of a physical form.
 
-    Opaque integers only: no location or technology semantics.
+    Opaque integers only: no location or technology semantics.  A tuple
+    that equals and hashes like ``(global_id, local_id)``.
     """
 
     global_id: int
     local_id: int
 
-    def __post_init__(self):
-        for part, name in ((self.global_id, "global_id"), (self.local_id, "local_id")):
-            if not 0 <= part <= U64_MAX:
-                raise IntegerOutOfRange(f"{name} {part} outside [0, 2^64-1]")
+
+def _checked_pname(cls, global_id: int, local_id: int) -> PName:
+    for part, name in ((global_id, "global_id"), (local_id, "local_id")):
+        if not 0 <= part <= U64_MAX:
+            raise IntegerOutOfRange(f"{name} {part} outside [0, 2^64-1]")
+    return tuple.__new__(cls, (global_id, local_id))
+
+
+# A NamedTuple body may not define __new__; the stock _make (and _replace) skips it.
+PName.__new__ = staticmethod(_checked_pname)
+PName._make = classmethod(lambda cls, parts: cls(*parts))
 
 
 def format_pname(p: PName) -> str:

@@ -2,10 +2,15 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from oonsim import (
     AccessPolicy,
+    AttributeKind,
+    AuditReport,
     Eq,
+    ObjectClass,
     ObjectSpec,
     PName,
     Prefix,
@@ -325,3 +330,118 @@ class TestAuditAndDelete:
         m = w.finalize_metrics()
         assert m.fib_inter_size <= 3  # at most one prefix per other domain
         assert m.conservation_holds()
+
+    def test_dangling_in_key_order_within_a_node(self):
+        # One relay node owns every cell; o0's cell (0,0) comes before o1's
+        # (0,1) in coordinate order, but o1's key ("a", "z") sorts first.
+        w = audit_world(1, 1, [("zeta", "b", "a", "d0"), ("zeta", "a", "z", "d0")])
+        for obj in ("o0", "o1"):
+            w.instantiate(obj)
+            w.publish(obj)
+        pointers = [w.record(obj).pname for obj in ("o1", "o0")]
+        for obj in ("o0", "o1"):
+            w.drop_host(obj)
+        report = w.audit_consistency()
+        assert [(n.values, p) for n, p in report.dangling] == list(zip([("a", "z"), ("b", "a")],
+                                                                       pointers))
+
+
+# --- the audit against its reference definition -------------------------------
+
+# Added in this order, audited in name order; the "m" cuts make four cells,
+# and LETTERS has values on both sides of them.
+AUDIT_CLASSES = ("zeta", "alpha")
+LETTERS = "abmnyz"
+
+
+def audit_world(n, irns, objects) -> World:
+    """n chained domains d0.., two-attribute classes over irns relay nodes
+    each, and objects o0.. as (class, a0, a1, first domain)."""
+    w = World()
+    names = [f"d{i}" for i in range(n)]
+    for name in names:
+        w.add_domain(name)
+    for a, b in zip(names, names[1:]):
+        w.connect_domains(a, b)
+    for name in AUDIT_CLASSES:
+        w.add_class(ObjectClass(name, (("a0", AttributeKind.TEXT), ("a1", AttributeKind.TEXT))))
+        w.add_partition(name, {"a0": ["m"], "a1": ["m"]}, irns)
+    for i, (cls, a0, a1, domain) in enumerate(objects):
+        w.add_object(ObjectSpec(f"o{i}", cls, {"a0": a0, "a1": a1}, domain))
+    return w
+
+
+@st.composite
+def audit_cases(draw):
+    """(domain count, relay nodes per class, objects, steps)."""
+    n = draw(st.integers(1, 3))
+    domains = st.sampled_from([f"d{i}" for i in range(n)])
+    letters = st.sampled_from(LETTERS)
+    objects = draw(st.lists(st.tuples(st.sampled_from(AUDIT_CLASSES), letters, letters, domains),
+                            min_size=1, max_size=6, unique_by=lambda o: o[:3]))
+    ids = st.sampled_from([f"o{i}" for i in range(len(objects))])
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("publish"), ids, st.sampled_from(("bottom_up", "top_down"))),
+        st.tuples(st.sampled_from(("instantiate", "delete", "drop_host")), ids),
+        st.tuples(st.just("migrate"), ids, domains),
+    ), max_size=20))
+    return n, draw(st.integers(1, 3)), objects, steps
+
+
+def audit_step(w: World, step) -> None:
+    """Run one step, skipping those the object's state makes an error."""
+    op, obj = step[0], step[1]
+    live = w.host(obj) is not None
+    if op == "publish" and w.record(obj).form is None:
+        if step[2] == "bottom_up" and not live:
+            w.instantiate(obj)
+        w.publish(obj, step[2])
+    elif op == "instantiate" and not live:
+        w.instantiate(obj)
+    elif op == "migrate" and live:
+        w.migrate(obj, step[2])
+    elif op == "delete":
+        w.delete(obj)
+    elif op == "drop_host" and live:
+        w.drop_host(obj)
+
+
+def reference_audit(w: World) -> AuditReport:
+    """The audit as first defined: every pointer of every form, class by
+    class, in all_forms order; every host sorted by (domain, global id,
+    local id), less those some form points to."""
+    dangling, referenced = [], set()
+    for class_name in sorted(w.info):
+        for form in w.info[class_name].all_forms():
+            for p in form.relationship:
+                referenced.add(p)
+                if w.datanet.host_of(p) is None:
+                    dangling.append((form.iname, p))
+    hosts = sorted(w.datanet.hosts.values(),
+                   key=lambda h: (h.domain, h.pname.global_id, h.pname.local_id))
+    return AuditReport(dangling, [h.pname for h in hosts if h.pname not in referenced])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(audit_cases())
+# Two dangling pointers on one relay node, in cells whose coordinate order
+# is not their key order, and a third in the other class.
+@example((1, 1, [("zeta", "b", "a", "d0"), ("zeta", "a", "z", "d0"), ("alpha", "a", "a", "d0")],
+          [("publish", "o0", "bottom_up"), ("publish", "o1", "top_down"),
+           ("publish", "o2", "bottom_up"), ("drop_host", "o0"), ("drop_host", "o1"),
+           ("drop_host", "o2")]))
+# Orphans in three domains: o1 migrates from d0 to d2, so d2 holds a lower
+# global id than its own, and o3 is re-instantiated after its host dropped.
+@example((3, 2, [("alpha", "a", "a", "d2"), ("zeta", "n", "n", "d0"),
+                 ("alpha", "z", "b", "d1"), ("zeta", "b", "y", "d0")],
+          [("instantiate", "o0"), ("instantiate", "o1"), ("instantiate", "o2"),
+           ("publish", "o3", "bottom_up"), ("migrate", "o1", "d2"), ("drop_host", "o3"),
+           ("instantiate", "o3")]))
+def test_audit_equals_its_reference(case):
+    n, irns, objects, steps = case
+    w = audit_world(n, irns, objects)
+    assert w.audit_consistency() == reference_audit(w)
+    for step in steps:
+        audit_step(w, step)
+        assert w.audit_consistency() == reference_audit(w)

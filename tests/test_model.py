@@ -5,9 +5,12 @@ import pytest
 from oonsim import (
     ANY,
     AttributeKind,
+    DataMessage,
+    DataNetwork,
     Eq,
     IName,
     ObjectClass,
+    ObjectHost,
     PName,
     Prefix,
     Query,
@@ -17,18 +20,20 @@ from oonsim import (
     iname_key,
     make_form,
     normalize_value,
+    route_data,
     validate_form,
 )
 from oonsim.model import (
     EmptyText,
     IntegerOutOfRange,
     InvalidRange,
+    U64_MAX,
     UnknownAttribute,
     UnknownClass,
     validate_query,
 )
 
-from conftest import BOOK
+from conftest import BOOK, make_sim
 
 TEXT = AttributeKind.TEXT
 INT = AttributeKind.INTEGER
@@ -193,3 +198,57 @@ def test_generic_methods_always_present():
 def test_iname_key_is_normalized():
     assert iname_key(BOOK, IName("book", ("Foundation", "Asimov"))) == \
         ("foundation", "asimov")
+
+
+def test_derived_class_maps_stay_out_of_equality_hash_and_repr():
+    a, b = (ObjectClass("thing", (("name", TEXT),), (("size", INT),)) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert a.defining_names == ("name",) and a.kind_of("size") is INT
+    assert repr(a) == ("ObjectClass(class_name='thing', defining_attributes=(('name', "
+                       "<AttributeKind.TEXT: 'text'>),), extra_description_attributes="
+                       "(('size', <AttributeKind.INTEGER: 'integer'>),), methods="
+                       "('SendDataTo', 'GetDataFrom', 'SinkDataFrom'))")
+
+
+class TestPName:
+    @pytest.mark.parametrize("build", [
+        lambda: PName(-1, 0),
+        lambda: PName(0, U64_MAX + 1),
+        lambda: PName(global_id=U64_MAX + 1, local_id=0),
+        lambda: PName(global_id=0, local_id=-1),
+        lambda: PName._make((-1, 0)),
+        lambda: PName._make([0, U64_MAX + 1]),
+        lambda: PName(1, 2)._replace(global_id=-1),
+        lambda: PName(1, 2)._replace(local_id=U64_MAX + 1),
+    ], ids=["positional-gid", "positional-lid", "keyword-gid", "keyword-lid",
+            "make-gid", "make-lid", "replace-gid", "replace-lid"])
+    def test_out_of_range_part_raises_on_every_way_to_build(self, build):
+        with pytest.raises(IntegerOutOfRange):
+            build()
+
+    def test_every_way_to_build_gives_the_same_name(self):
+        p = PName(1, U64_MAX)
+        assert p == PName(global_id=1, local_id=U64_MAX) == PName._make((1, U64_MAX))
+        assert PName(0, U64_MAX)._replace(global_id=1) == p
+        assert type(PName._make((1, 2))) is type(p._replace(local_id=2)) is PName
+
+    @pytest.mark.parametrize("a,b", [(0, 0), (1, 2), (U64_MAX, 7)])
+    def test_equals_and_hashes_like_its_tuple(self, a, b):
+        assert PName(a, b) == (a, b)
+        assert hash(PName(a, b)) == hash((a, b))
+
+    def test_repr_and_format_unchanged(self):
+        assert repr(PName(1, 2)) == "PName(global_id=1, local_id=2)"
+        assert format_pname(PName(0x1F, U64_MAX)) == "pn:000000000000001f/ffffffffffffffff"
+
+    def test_plain_tuple_keys_of_domain_hosts_still_work(self):
+        net = DataNetwork(*make_sim())
+        d = net.add_domain("d1")
+        host = ObjectHost(PName(1, 1), "thing")
+        net.add_host("d1", host)
+        assert d.hosts[(1, 1)] is host and (1, 2) not in d.hosts
+        d.hosts[(1, 2)] = other = ObjectHost(PName(1, 2), "thing")  # as test doubles do
+        for callee, want in ((PName(1, 1), host), (PName(1, 2), other)):
+            msg = DataMessage(PName(9, 9), "GetDataFrom", callee, "SinkDataFrom", "SinkDataFrom")
+            assert route_data(d, msg) == ("deliver", want)
+        assert net.remove_host((1, 1)) is host and set(d.hosts) == {PName(1, 2)}
