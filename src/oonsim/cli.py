@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .model import OonError
 from .scenario import load_scenario, run
 
 
@@ -47,7 +48,11 @@ def main(argv=None) -> int:
     p_val.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OonError, OSError) as exc:
+        print(f"oon-sim: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

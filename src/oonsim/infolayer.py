@@ -21,7 +21,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import (
     InformationalForm,
@@ -111,6 +111,7 @@ class PartitionMap:
     dims: tuple         # per-attribute segment counts
     assignment: dict    # coordinate -> node id
     routes: dict        # entry node id -> node id -> its parent on the entry's tree
+    labels: dict        # coordinate -> its trace text, "(i,j)"
 
     def cell_of_key(self, key: tuple) -> tuple:
         return tuple(bisect_right(cuts, k) for cuts, k in zip(self.dim_cuts, key))
@@ -166,7 +167,8 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
                     parent[other] = nid
                     order.append(other)
         routes[entry] = parent
-    pmap = PartitionMap(cls, tuple(dim_cuts), dims, assignment, routes)
+    labels = {c: "(" + ",".join(map(str, c)) + ")" for c in assignment}
+    pmap = PartitionMap(cls, tuple(dim_cuts), dims, assignment, routes, labels)
 
     nodes = [IRNNode(i) for i in range(irn_count)]
     for coord, nid in assignment.items():
@@ -205,8 +207,7 @@ def locate_partitions(pmap: PartitionMap, q: Query) -> frozenset:
 # --- messages ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class XFindMessage:
+class XFindMessage(NamedTuple):
     request_id: int
     action: Action
     payload: object              # Query for FIND, InformationalForm otherwise
@@ -215,14 +216,14 @@ class XFindMessage:
     path: tuple = ()             # node ids visited before the current one
 
 
-@dataclass(frozen=True)
-class ResultsMessage:
+class ResultsMessage(NamedTuple):
     request_id: int
     responder: int
     entry: int                   # the request's entry node, whose tree it climbs
     forms: tuple = ()
     ack: Optional[bool] = None
     detail: str = ""
+    tail: str = ""               # its trace line after the node, made once by _results
 
 
 def check_access(form: InformationalForm, requester: Requester) -> bool:
@@ -238,8 +239,6 @@ def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> 
     entry's tree, so climbing the owner's parent pointers reaches the
     child of this node it hangs under.  Targets sharing a child are batched.
     """
-    if not targets:  # a write's owner, or a leaf of a find
-        return []
     parent = pmap.routes[msg.path[0] if msg.path else node.irn_id]
     groups = {}
     for t in targets:
@@ -272,8 +271,8 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
     Returns (results message or None, list of forwarded messages).
     """
     assert node.irn_id not in msg.path, "xfind revisited a node"
-    cls = pmap.cls
-    local = msg.targets & node.owned
+    cls, owned = pmap.cls, node.owned
+    local = msg.targets & owned
     results = None
     if local:
         if msg.action is Action.FIND:
@@ -317,22 +316,21 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
                     form, detail = None, "Deleted"
                 cell.restricted += _restricted(form) - _restricted(old)
                 results = _results(node, msg, ack=True, detail=detail)
+    rest = msg.targets - owned
+    if not rest:  # a write's owner, or a leaf of a find
+        return results, []
     path = msg.path + (node.irn_id,)
     forwards = [(nid, XFindMessage(msg.request_id, msg.action, msg.payload, msg.requester,
                                    sub, path))
-                for nid, sub in next_hops(node, pmap, msg, msg.targets - node.owned)]
+                for nid, sub in next_hops(node, pmap, msg, rest)]
     return results, forwards
 
 
 def _results(node, msg, forms=(), ack=None, detail=""):
-    return ResultsMessage(
-        request_id=msg.request_id,
-        responder=node.irn_id,
-        entry=msg.path[0] if msg.path else node.irn_id,
-        forms=forms,
-        ack=ack,
-        detail=detail,
-    )
+    tail = (f"forms={len(forms)}" if ack is None else
+            f"ack={'yes' if ack else 'no'} detail={detail}")
+    return ResultsMessage(msg.request_id, node.irn_id, msg.path[0] if msg.path else node.irn_id,
+                          forms, ack, detail, tail)
 
 
 # --- request accounting at the issuing node ----------------------------------
@@ -408,8 +406,9 @@ class InfoNetwork:
     # -- node handlers --------------------------------------------------------
 
     def _on_xfind(self, node: IRNNode, msg: XFindMessage) -> None:
-        self.trace.log(f"XFIND {msg.action.value} req={msg.request_id} "
-                       f"at=irn{node.irn_id} targets={_fmt_cells(msg.targets)}")
+        targets = msg.targets if len(msg.targets) == 1 else sorted(msg.targets)
+        self.trace.log(f"XFIND {msg.action.value} req={msg.request_id} at=irn{node.irn_id} "
+                       f"targets={'|'.join(map(self.pmap.labels.__getitem__, targets))}")
         results, forwards = handle_xfind(node, self.pmap, msg)
         self.metrics.delivered["xfind"] += 1
         self.metrics.xfind_hops[len(msg.path)] += 1
@@ -423,8 +422,7 @@ class InfoNetwork:
     def _on_results(self, node: IRNNode, rmsg: ResultsMessage) -> None:
         """Log a results message at a node, then pass it to the node's parent
         on the entry's tree, or deliver it at the entry."""
-        self.trace.log(f"RESULTS req={rmsg.request_id} at=irn{node.irn_id} "
-                       f"{_fmt_results(rmsg)}")
+        self.trace.log(f"RESULTS req={rmsg.request_id} at=irn{node.irn_id} {rmsg.tail}")
         parent = self.pmap.routes[rmsg.entry][node.irn_id]
         if parent is None:
             self.metrics.delivered["results"] += 1
@@ -464,14 +462,3 @@ class InfoNetwork:
 
     def store_sizes(self) -> list:
         return [len(n.store) for n in self.nodes]
-
-
-def _fmt_cells(cells) -> str:
-    return "|".join("(" + ",".join(map(str, c)) + ")"
-                    for c in (cells if len(cells) == 1 else sorted(cells)))
-
-
-def _fmt_results(rmsg: ResultsMessage) -> str:
-    if rmsg.ack is None:
-        return f"forms={len(rmsg.forms)}"
-    return f"ack={'yes' if rmsg.ack else 'no'} detail={rmsg.detail}"

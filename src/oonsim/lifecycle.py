@@ -5,7 +5,8 @@ discovery networks onto one event loop, and runs instantiate, publish,
 discover, migrate and the cross-layer consistency audit as discrete
 scripted steps.  Where each host lives, and so where its prefix routes,
 is the data layer's record; each object's record keeps only its spec,
-p-name, home domain and informational form.
+the spec's checked form, p-name, home domain and the informational form
+its relay node holds.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class _Record:
     spec: ObjectSpec             # as given; never written
     domain: str                  # current home domain, moved by migrate
     pname: Optional[PName] = None
-    form: Optional[InformationalForm] = None
+    form: Optional[InformationalForm] = None      # the form the relay node holds
+    checked: Optional[InformationalForm] = None   # the spec's form, validated once
 
 
 @dataclass
@@ -160,9 +162,7 @@ class World:
         if rec.domain not in self.datanet.domains:
             raise UnknownDomain(f"{rec.domain!r}")
         cls = self.classes[spec.class_name]
-        violations = validate_form(make_form(cls, spec.values), cls)
-        if violations:
-            raise InvalidPayload("; ".join(violations))
+        self._checked(rec)
         pname = self._allocators[rec.domain].mint_pname()
         host = ObjectHost(pname, spec.class_name, cls.methods, spec.policy)
         self.datanet.add_host(rec.domain, host)
@@ -178,8 +178,6 @@ class World:
         pointer in with a modify.
         """
         rec = self.record(obj_id)
-        spec = rec.spec
-        cls = self.classes[spec.class_name]
         if order == "bottom_up":
             if self.host(obj_id) is None:
                 raise NotInstantiated(f"{obj_id!r} must be instantiated first")
@@ -188,20 +186,36 @@ class World:
             relationship = []
         else:
             raise ValueError(f"bad publish order {order!r}")
-        form = make_form(cls, spec.values, policy=spec.policy,
-                         relationship=relationship)
-        detail = self._action(rec, Action.REGISTER, form)
+        detail = self._action(rec, Action.REGISTER, self._form(rec, relationship))
         if detail != "Registered":
             raise AlreadyPublished(f"{obj_id!r}: {detail}")
         if order == "top_down":
             if self.host(obj_id) is None:
                 self.instantiate(obj_id)
-            updated = make_form(cls, spec.values, policy=spec.policy,
-                                relationship=[rec.pname])
-            detail = self._action(rec, Action.MODIFY, updated)
+            detail = self._action(rec, Action.MODIFY, self._form(rec, [rec.pname]))
             if detail != "Modified":
                 raise OonError(f"pointer fill-in for {obj_id!r} failed: {detail}")
         return detail
+
+    def _checked(self, rec: _Record) -> InformationalForm:
+        """The spec's form, built and validated at its first use and then
+        kept; a spec the relay node would reject raises at every use."""
+        if rec.checked is None:
+            cls = self.classes[rec.spec.class_name]
+            form = make_form(cls, rec.spec.values, policy=rec.spec.policy)
+            violations = validate_form(form, cls)
+            if violations:
+                raise InvalidPayload("; ".join(violations))
+            rec.checked = form
+        return rec.checked
+
+    def _form(self, rec: _Record, relationship: list) -> InformationalForm:
+        """A copy of the checked form with its own description and this
+        relationship list; copies share its immutable IName, whose key is
+        computed once."""
+        base = self._checked(rec)
+        return InformationalForm(base.iname, dict(base.description), relationship,
+                                 base.methods, base.policy)
 
     def _action(self, rec: _Record, action: Action, form) -> str:
         """Send one write and wait for it.  The record keeps the form the

@@ -509,3 +509,77 @@ class TestNetworkProperties:
         net.issue_request(2, Action.FIND, Query("book", {}), REQ)
         net.loop.run()
         assert net.metrics.conservation_holds()
+
+
+class TestMessages:
+    def test_keyword_construction_fills_the_defaults(self):
+        q = Query("book", {})
+        msg = XFindMessage(request_id=3, action=Action.FIND, payload=q, requester=REQ,
+                           targets=frozenset({(0, 0)}))
+        assert (msg.request_id, msg.action, msg.payload, msg.requester) == \
+            (3, Action.FIND, q, REQ)
+        assert msg.targets == {(0, 0)} and msg.path == ()
+        res = ResultsMessage(request_id=3, responder=1, entry=0)
+        assert (res.forms, res.ack, res.detail) == ((), None, "")
+
+    def test_fields_cannot_be_assigned(self):
+        msg = _msg(Action.FIND, Query("book", {}), [(0, 0)])
+        res = ResultsMessage(request_id=1, responder=0, entry=0)
+        with pytest.raises(AttributeError):
+            msg.targets = frozenset()
+        with pytest.raises(AttributeError):
+            res.ack = True
+
+    def test_messages_with_equal_fields_are_equal(self):
+        q = Query("book", {})
+        assert _msg(Action.FIND, q, [(0, 1), (1, 1)], path=[0]) == \
+            _msg(Action.FIND, q, [(1, 1), (0, 1)], path=(0,))
+        assert _msg(Action.FIND, q, [(0, 1)]) != _msg(Action.FIND, q, [(0, 1)], rid=2)
+        assert ResultsMessage(1, 2, 0, (), True, "Registered") == \
+            ResultsMessage(request_id=1, responder=2, entry=0, ack=True, detail="Registered")
+
+
+class TestTraceText:
+    """The exact XFIND and RESULTS lines on the 2x2 grid of four nodes: from
+    entry 0, irn1 owns (0,1), irn2 owns (1,0), and irn3 owns (1,1) two hops
+    down, below irn1."""
+
+    def setup_method(self):
+        self.net = make_info()
+        for title, author in (("dune", "herbert"), ("zelazny", "zelazny")):
+            self.net.issue_request(0, Action.REGISTER,
+                                   make_form(BOOK, {"title": title, "author": author}), REQ)
+            self.net.loop.run()
+        del self.net.trace.lines[:]
+
+    def test_find_forwarded_over_two_hops(self):
+        self.net.issue_request(0, Action.FIND, Query("book", {}), REQ)
+        self.net.loop.run()
+        assert self.net.trace.lines == [
+            "t=4 XFIND find req=3 at=irn0 targets=(0,0)|(0,1)|(1,0)|(1,1)",
+            "t=4 RESULTS req=3 at=irn0 forms=1",
+            "t=5 XFIND find req=3 at=irn1 targets=(0,1)|(1,1)",
+            "t=5 RESULTS req=3 at=irn1 forms=0",
+            "t=5 XFIND find req=3 at=irn2 targets=(1,0)",
+            "t=5 RESULTS req=3 at=irn2 forms=0",
+            "t=6 RESULTS req=3 at=irn0 forms=0",
+            "t=6 XFIND find req=3 at=irn3 targets=(1,1)",
+            "t=6 RESULTS req=3 at=irn3 forms=1",
+            "t=6 RESULTS req=3 at=irn0 forms=0",
+            "t=7 RESULTS req=3 at=irn1 forms=1",
+            "t=8 RESULTS req=3 at=irn0 forms=1",
+        ]
+
+    def test_denied_register_climbs_two_hops(self):
+        form = make_form(BOOK, {"title": "Zelazny", "author": "ZELAZNY"})
+        rid = self.net.issue_request(0, Action.REGISTER, form, REQ)
+        self.net.loop.run()
+        assert self.net.request(rid).detail == "AlreadyExists"
+        assert self.net.trace.lines == [
+            "t=4 XFIND register req=3 at=irn0 targets=(1,1)",
+            "t=5 XFIND register req=3 at=irn1 targets=(1,1)",
+            "t=6 XFIND register req=3 at=irn3 targets=(1,1)",
+            "t=6 RESULTS req=3 at=irn3 ack=no detail=AlreadyExists",
+            "t=7 RESULTS req=3 at=irn1 ack=no detail=AlreadyExists",
+            "t=8 RESULTS req=3 at=irn0 ack=no detail=AlreadyExists",
+        ]

@@ -93,6 +93,28 @@ class TestPublish:
         assert tuple(form.relationship) == (rec.pname,)
         assert host.pname == rec.pname and host.domain == "d1"
 
+    @pytest.mark.parametrize("order", ["bottom_up", "top_down"])
+    def test_each_form_of_an_object_has_its_own_description_and_relationship(self, order):
+        w = make_world()
+        add_book(w, "a", "dune", "herbert", pages=412)
+        if order == "bottom_up":
+            w.instantiate("a")
+        sent = []
+        issue = w.info["book"].issue_request
+        w.info["book"].issue_request = lambda *args: sent.append(args[2]) or issue(*args)
+        w.publish("a", order=order)
+        rec = w.record("a")
+        forms = [rec.checked] + sent
+        assert len(forms) == (2 if order == "bottom_up" else 3)
+        assert rec.form is sent[-1] and rec.form.relationship == [rec.pname]
+        assert rec.checked.relationship == []
+        for i, f in enumerate(forms):
+            assert f.iname is rec.checked.iname
+            assert f.description == {"title": "dune", "author": "herbert", "pages": 412}
+            for g in forms[i + 1:]:
+                assert f.description is not g.description
+                assert f.relationship is not g.relationship
+
     def test_duplicate_publish_denied(self):
         w = make_world()
         add_book(w, "a", "dune", "herbert")

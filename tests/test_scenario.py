@@ -356,6 +356,17 @@ class TestRun:
         assert result.audits and all(not report.orphans for report in result.audits)
         assert result.world.host("b1") is None
 
+    def test_top_down_extra_value_of_the_wrong_kind_sends_nothing(self):
+        raw = golden_raw()
+        raw["objects"][0]["values"]["pages"] = "x"
+        raw["script"][0]["order"] = "top_down"
+        result = run(parse_scenario(raw))
+        # rejected before its register is issued, so b2's register is request 1
+        assert result.trace.lines[:2] == ["t=0 ERROR publish b1 kind mismatch for 'pages'",
+                                          "t=0 XFIND register req=1 at=irn0 targets=(1,0)"]
+        assert result.audits and all(not report.orphans for report in result.audits)
+        assert result.world.host("b1") is None
+
     def test_late_write_is_recorded_as_the_relay_node_applied_it(self):
         # at deadline 2, b2's register answers late: an error step, but the
         # relay node stored b2's form, so deleting b2 must delete that form
