@@ -11,7 +11,6 @@ module alone records where each host lives and where each prefix routes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 from .model import AccessPolicy, OonError, PName, format_pname
@@ -29,6 +28,11 @@ class DataMessage:
     Data exchange always happens in method context: the header names the
     calling object and method, the called object and method, and the
     reply-to method the callee should address subsequent data to.
+
+    Its trace text is built with it, as attributes outside the fields: every
+    message is routed, and a `cached_property` on this per-visit object slows
+    every attribute read on CPython 3.11.  `ends` holds caller and callee as
+    `<p-name>.<method>`; `trace_head`, a router visit's line but its domain.
     """
 
     caller: PName
@@ -40,16 +44,10 @@ class DataMessage:
     hop_limit: int = 64
     visited: list = field(default_factory=list)  # routers seen; instrumentation
 
-    @cached_property
-    def ends(self) -> tuple:
-        """Caller and callee as `<p-name>.<method>`, formatted at first use."""
-        return (f"{format_pname(self.caller)}.{self.caller_method}",
-                f"{format_pname(self.callee)}.{self.callee_method}")
-
-    @cached_property
-    def trace_head(self) -> str:
-        """A router visit's trace line but its domain; hop_limit is not in it."""
-        return f"DATA {self.ends[0]} -> {self.ends[1]} reply={self.reply_to_method} hop="
+    def __post_init__(self):
+        self.ends = ends = (f"{format_pname(self.caller)}.{self.caller_method}",
+                            f"{format_pname(self.callee)}.{self.callee_method}")
+        self.trace_head = f"DATA {ends[0]} -> {ends[1]} reply={self.reply_to_method} hop="
 
 
 @dataclass
@@ -252,14 +250,14 @@ class DataNetwork:
         msg.visited.append(domain.name)
         self.trace.log(msg.trace_head + domain.name)
         decision, arg = route_data(domain, msg)
-        if decision == "drop":
-            self._drop(arg)
-        elif decision == "forward":
+        if decision == "forward":
             if msg.hop_limit <= 0:
                 self._drop("hop_limit")
                 return
             msg.hop_limit -= 1
             self.loop.post(domain.interfaces[arg], self._on_router, self.domains[arg], msg)
+        elif decision == "drop":
+            self._drop(arg)
         else:
             self._deliver(domain, arg, msg)
 

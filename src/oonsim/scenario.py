@@ -10,6 +10,7 @@ Twister behind the workload generator, which runs do not use.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -80,7 +81,8 @@ _STEP_OBJECTS = {
     "discover": (), "audit": (),
 }
 
-# The most chunks or turns a step may name: run() sends a message for each.
+# The most chunks or turns a step, and relay nodes times cells a partition,
+# may name: run() sends a message, or builds a node or route, for each.
 MAX_STEP_COUNT = 100_000
 
 
@@ -206,7 +208,9 @@ def parse_scenario(raw: dict) -> Scenario:
                     and all(a < b for a, b in zip(keys, keys[1:]))):
                 raise ValidationError(f"{where}.cuts.{attr}",
                                       f"expected strictly increasing strings, got {keys!r}")
-        irns[cname] = _int(p.get("irn_count", 1), f"{where}.irn_count", 1)
+        cells = math.prod(len(cuts.get(name, ())) + 1 for name in cls.defining_names)
+        irns[cname] = _int(p.get("irn_count", 1), f"{where}.irn_count", 1,
+                           MAX_STEP_COUNT // cells)
         partitions.append((cname, dict(cuts), irns[cname]))
 
     domains = list(_shape(raw.get("domains", []), list, "domains"))

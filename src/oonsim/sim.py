@@ -15,53 +15,66 @@ from collections import Counter, deque
 
 class EventLoop:
     """Single-threaded deterministic event loop over one deque in (tick, seq)
-    order: an event due no earlier than the last queued one is appended in
-    O(1), and one due earlier is inserted in place."""
+    order: an event due no earlier than the tail tick, the last queued one's,
+    is appended in O(1) and moves it; one due earlier is inserted in place."""
 
     def __init__(self):
         self.now = 0
         self._queue = deque()
         self._seq = 0
+        self._tail = 0
         self._last = (-1, -1)
 
     def post(self, delay: int, handler, *args) -> None:
         """Schedule handler(*args) delay ticks from now."""
         if delay < 0:
             raise ValueError("negative delay")
-        event = (self.now + delay, self._seq, handler, args)
-        if self._queue and event[0] < self._queue[-1][0]:
-            insort(self._queue, event)
+        tick = self.now + delay
+        if tick < self._tail:
+            insort(self._queue, (tick, self._seq, handler, args))
         else:
-            self._queue.append(event)
+            self._queue.append((tick, self._seq, handler, args))
+            self._tail = tick
         self._seq += 1
 
     def run(self, max_events: int = None) -> int:
         """Drain the queue; returns the number of events processed."""
+        queue = self._queue
+        popleft = queue.popleft
+        limit = None if max_events is None else max(max_events, 0)
+        last_tick, last_seq = self._last
         processed = 0
-        while self._queue:
-            if max_events is not None and processed >= max_events:
-                break
-            tick, seq, handler, args = self._queue.popleft()
-            assert (tick, seq) > self._last, "event ordering violated"
-            self._last = (tick, seq)
-            self.now = tick
-            handler(*args)
-            processed += 1
+        try:
+            while queue and processed != limit:
+                tick, seq, handler, args = popleft()
+                assert tick > last_tick or (tick == last_tick and seq > last_seq), \
+                    "event ordering violated"
+                last_tick, last_seq = tick, seq
+                self.now = tick
+                handler(*args)
+                processed += 1
+        finally:
+            self._last = (last_tick, last_seq)
         return processed
 
 
 class Trace:
     """Append-only run log; lines are prefixed with the current tick.
 
-    sha256() streams the lines in chunks and never holds the whole text.
+    The `t=<tick> ` prefix is formatted once per tick.  sha256() streams
+    the lines in chunks and never holds the whole text.
     """
 
     def __init__(self, loop: EventLoop):
         self._loop = loop
+        self._tick, self._prefix = None, ""
         self.lines = []
 
     def log(self, text: str) -> None:
-        self.lines.append(f"t={self._loop.now} {text}")
+        now = self._loop.now
+        if now != self._tick:
+            self._tick, self._prefix = now, f"t={now} "
+        self.lines.append(self._prefix + text)
 
     def text(self) -> str:
         if not self.lines:

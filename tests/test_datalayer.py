@@ -373,6 +373,8 @@ class TestTraceLines:
         net.send(msg, "d1")
         net.loop.run()
         twin = dataclasses.replace(msg, visited=list(msg.visited))
-        assert "trace_head" in vars(msg) and "trace_head" not in vars(twin)
+        assert not {"trace_head", "ends"} & {f.name for f in dataclasses.fields(DataMessage)}
+        assert f"t=0 {twin.trace_head}" == _data_line(0, twin, "")
+        twin.trace_head = "DATA overwritten hop="
         assert twin == msg
         assert repr(twin) == repr(msg)

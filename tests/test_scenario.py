@@ -242,6 +242,19 @@ class TestParsing:
             parse_scenario(raw)
         assert exc.value.where == f"script[{step}].{key}"
 
+    def test_relay_nodes_times_cells_are_bounded(self):
+        raw = golden_raw()            # book has 4 cells, reader 1
+        raw["partitions"][0]["irn_count"] = MAX_STEP_COUNT // 4
+        raw["partitions"][2]["irn_count"] = MAX_STEP_COUNT
+        assert [p[2] for p in parse_scenario(raw).partitions] == [
+            MAX_STEP_COUNT // 4, 2, MAX_STEP_COUNT]
+        for i, irns in ((0, MAX_STEP_COUNT // 4 + 1), (2, MAX_STEP_COUNT + 1)):
+            bad = golden_raw()
+            bad["partitions"][i]["irn_count"] = irns
+            with pytest.raises(ValidationError) as exc:
+                parse_scenario(bad)
+            assert exc.value.where == f"partitions[{i}].irn_count"
+
     def test_root_that_is_not_an_object_is_rejected(self):
         with pytest.raises(ValidationError) as exc:
             parse_scenario([golden_raw()])

@@ -71,6 +71,9 @@ def test_max_events_zero_or_negative_processes_nothing(max_events):
 @example([0, 1, 1, 3], [[1]], [1])
 # Two inserts at the head's own tick, after a run cut at 0.
 @example([4, 0], [[0, 0], [4]], [0, None])
+# The tick-3 event drains the queue, then posts at its own tick, after it
+# and at it again (an insert before the new tail); the first run stops there.
+@example([3], [[0, 1, 0], [], [2]], [1])
 def test_events_run_in_tick_seq_order_across_cut_runs(delays, children, cuts):
     loop = EventLoop()
     posted, processed = [], []
@@ -94,6 +97,50 @@ def test_events_run_in_tick_seq_order_across_cut_runs(delays, children, cuts):
     assert loop.run() == 0
 
 
+def test_a_handler_that_raises_mid_run_keeps_tick_seq_order():
+    loop = EventLoop()
+    seen, record = _recorder(loop)
+
+    def boom(*args):
+        record(*args)
+        loop.post(0, record, "posted before the raise")
+        raise RuntimeError("boom")
+    loop.post(1, record, "a")
+    loop.post(1, boom, "b")
+    loop.post(1, record, "c")
+    loop.post(2, record, "d")
+    with pytest.raises(RuntimeError):
+        loop.run()
+    assert loop.now == 1
+    assert loop.run() == 3
+    assert seen == [(1, "a"), (1, "b"), (1, "c"), (1, "posted before the raise"), (2, "d")]
+
+
+# The check must also hold after a run that a handler's exception ended.
+@pytest.mark.parametrize("raises", [False, True])
+def test_an_event_older_than_the_last_one_run_trips_the_order_check(raises):
+    loop = EventLoop()
+    seen, handler = _recorder(loop)
+
+    def last(*args):
+        handler(*args)
+        if raises:
+            raise RuntimeError("boom")
+    loop.post(2, last, "run")
+    if raises:
+        with pytest.raises(RuntimeError):
+            loop.run()
+    else:
+        assert loop.run() == 1
+    loop._queue.appendleft((1, 99, handler, ("older tick",)))
+    with pytest.raises(AssertionError, match="event ordering violated"):
+        loop.run()
+    loop._queue.appendleft((2, 0, handler, ("same tick, older seq",)))
+    with pytest.raises(AssertionError, match="event ordering violated"):
+        loop.run()
+    assert seen == [(2, "run")]
+
+
 def test_negative_delay_rejected():
     loop = EventLoop()
     with pytest.raises(ValueError):
@@ -112,3 +159,35 @@ def test_streamed_hash_equals_the_hash_of_the_text(lines):
     trace = Trace(EventLoop())
     trace.lines.extend(lines)
     assert trace.sha256() == hashlib.sha256(trace.text().encode("utf-8")).hexdigest()
+
+
+# Each case: lines logged before the first event, then one step per script
+# entry, each run that many ticks after the one before: it logs its lines
+# to the first or the second of two traces on one loop.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.booleans()), max_size=10))
+@example(2, [(0, 2, False), (0, 1, True), (1, 3, True), (0, 1, False), (2, 0, False),
+             (1, 2, False)])
+def test_each_line_carries_the_tick_it_was_logged_at(before, script):
+    loop = EventLoop()
+    traces = (Trace(loop), Trace(loop))
+    want = ([], [])
+
+    def log(which, tick, text):
+        traces[which].log(text)
+        want[which].append(f"t={tick} {text}")
+
+    def step(i, tick):
+        _, count, which = script[i]
+        for j in range(count):
+            log(which, tick, f"step {i} line {j}")
+        if i + 1 < len(script):
+            loop.post(script[i + 1][0], step, i + 1, tick + script[i + 1][0])
+
+    for j in range(before):
+        log(j % 2, 0, f"before line {j}")
+    if script:
+        loop.post(script[0][0], step, 0, script[0][0])
+    loop.run()
+    assert [t.lines for t in traces] == list(want)
