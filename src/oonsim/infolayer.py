@@ -4,14 +4,15 @@ The per-class multi-attribute namespace is cut into lexicographic
 segments per dimension; the resulting grid cells are assigned round-robin
 to relay nodes.  A request (xFind) travels down its entry node's
 breadth-first tree of the relay nodes, computed from nothing but the static
-partition map, so each node serves it at most once; responses (Results)
-climb the same tree's parent pointers back to the entry node.  No routing
-state is ever exchanged between nodes.  A node's cells are its only store,
-each keeping its forms in key order, so a find reads only its target cells,
-in coordinate order.  A cell that lies wholly inside the query is covered:
-all its forms match; elsewhere a find bisects on the first dimension and
-filters that slice with ``match_slice``, one comprehension per predicate.
-Only a cell that holds a form with a restricted view rule checks access.
+partition map, so each node serves it at most once; a hop is one lookup per
+target, in the tree's next-hop table.  Responses (Results) climb the tree's
+parent pointers back to the entry node.  No routing state is ever exchanged
+between nodes.  A node's cells are its only store, each keeping its forms
+in key order, so a find reads only its target cells, in coordinate order.
+A cell that lies wholly inside the query is covered: all its forms match;
+elsewhere a find bisects on the first dimension and filters that slice with
+``match_slice``, one comprehension per predicate.  Only a cell that holds a
+form with a restricted view rule checks access.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
@@ -102,6 +104,22 @@ class IRNNode:
         return {k: f for cell in self.cells.values() for k, f in zip(cell.keys, cell.forms)}
 
 
+class Tree(dict):
+    """One entry's breadth-first tree: node id -> its parent, None at the entry.
+    below[node] maps every node under it to its child toward that node; built
+    at first use, as all entries' tables on an n-node line hold n**3 / 3 pairs."""
+
+    @cached_property
+    def below(self) -> dict:
+        below = {nid: {} for nid in self}
+        for owner, nid in self.items():
+            child = owner
+            while nid is not None:
+                below[nid][owner] = child
+                child, nid = nid, self[nid]
+        return below
+
+
 @dataclass
 class PartitionMap:
     """Static cell-to-node assignment over the segment grid of one class."""
@@ -110,11 +128,11 @@ class PartitionMap:
     dim_cuts: tuple     # per defining attribute, sorted boundary keys
     dims: tuple         # per-attribute segment counts
     assignment: dict    # coordinate -> node id
-    routes: dict        # entry node id -> node id -> its parent on the entry's tree
+    routes: dict        # entry node id -> its Tree: node id -> parent; .below: next hops
     labels: dict        # coordinate -> its trace text, "(i,j)"
 
     def cell_of_key(self, key: tuple) -> tuple:
-        return tuple(bisect_right(cuts, k) for cuts, k in zip(self.dim_cuts, key))
+        return tuple(map(bisect_right, self.dim_cuts, key))
 
     def cell_of_iname(self, iname) -> tuple:
         return self.cell_of_key(iname_key(self.cls, iname))
@@ -145,9 +163,8 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
             raise InvalidCuts(f"{name!r} is not a defining attribute of {cls.class_name!r}")
     dims = tuple(len(c) + 1 for c in dim_cuts)
 
-    assignment = {}
-    for idx, coord in enumerate(itertools.product(*(range(n) for n in dims))):
-        assignment[coord] = idx % irn_count
+    assignment = {coord: idx % irn_count
+                  for idx, coord in enumerate(itertools.product(*map(range, dims)))}
     owners = set(assignment.values())
     # a node that owns no cell has no grid position and reaches every owner
     # in one hop; no owner routes through it
@@ -160,7 +177,7 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
                 adjacent[other].add(nid)
     routes = {}
     for entry in range(irn_count):
-        parent, order = {entry: None}, [entry]
+        parent, order = Tree({entry: None}), [entry]
         for nid in order:  # breadth-first: order grows while it is walked
             for other in sorted(adjacent[nid]):
                 if other not in parent:
@@ -176,14 +193,18 @@ def build_partition_map(cls: ObjectClass, cuts: SegmentCuts, irn_count: int):
     return pmap, nodes
 
 
-def defining_bounds(q: Query, cls: ObjectClass) -> list:
+def defining_bounds(q: Query, cls: ObjectClass) -> tuple:
     """Per defining attribute, the (lo, hi, hi_open) key interval of the
-    query's first predicate on it; (None, None, False) when it has none."""
-    bounds = [(None, None, False)] * len(cls.defining_attributes)
-    for _, _, lo, hi, hi_open, pos in reversed(query_intervals(q, cls)):
-        if pos is not None:
-            bounds[pos] = (lo, hi, hi_open)
-    return bounds
+    query's first predicate on it; (None, None, False) when it has none.
+    Kept on the immutable query, as its intervals are."""
+    cached = q.__dict__.get("_bounds")
+    if cached is None or cached[0] is not cls:
+        bounds = [(None, None, False)] * len(cls.defining_attributes)
+        for _, _, lo, hi, hi_open, pos in reversed(query_intervals(q, cls)):
+            if pos is not None:
+                bounds[pos] = (lo, hi, hi_open)
+        cached = q.__dict__["_bounds"] = (cls, tuple(bounds))
+    return cached[1]
 
 
 def locate_partitions(pmap: PartitionMap, q: Query) -> frozenset:
@@ -236,16 +257,17 @@ def next_hops(node: IRNNode, pmap: PartitionMap, msg: XFindMessage, targets) -> 
 
     The entry is the first node on the request's path, or this node when
     the path is empty.  Each target's owner lies below this node on the
-    entry's tree, so climbing the owner's parent pointers reaches the
+    entry's tree, so one lookup in the tree's next-hop table gives the
     child of this node it hangs under.  Targets sharing a child are batched.
     """
-    parent = pmap.routes[msg.path[0] if msg.path else node.irn_id]
+    child = pmap.routes[msg.path[0] if msg.path else node.irn_id].below[node.irn_id]
+    owner = pmap.assignment
+    if len(targets) == 1:  # every write, and many find leaves
+        t, = targets
+        return [(child[owner[t]], frozenset(targets))]
     groups = {}
     for t in targets:
-        nid = pmap.assignment[t]
-        while parent[nid] != node.irn_id:
-            nid = parent[nid]
-        groups.setdefault(nid, set()).add(t)
+        groups.setdefault(child[owner[t]], set()).add(t)
     return [(nid, frozenset(groups[nid])) for nid in sorted(groups)]
 
 
@@ -271,8 +293,8 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
     Returns (results message or None, list of forwarded messages).
     """
     assert node.irn_id not in msg.path, "xfind revisited a node"
-    cls, owned = pmap.cls, node.owned
-    local = msg.targets & owned
+    cls = pmap.cls
+    local = msg.targets.intersection(node.cells)
     results = None
     if local:
         if msg.action is Action.FIND:
@@ -292,12 +314,12 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
             results = _results(node, msg, forms=tuple(matched))
         else:
             form = msg.payload
-            coord = pmap.cell_of_iname(form.iname)
+            key = iname_key(cls, form.iname)
+            coord = pmap.cell_of_key(key)
             cell = node.cells.get(coord)
             if cell is None:
                 raise WrongOwner(
                     f"{msg.action.value} for cell {coord} routed to node {node.irn_id}")
-            key = iname_key(cls, form.iname)
             i = bisect_left(cell.keys, key)
             old = cell.forms[i] if cell.keys[i:i + 1] == [key] else None
             if msg.action is Action.REGISTER and old is not None:
@@ -316,7 +338,7 @@ def handle_xfind(node: IRNNode, pmap: PartitionMap, msg: XFindMessage):
                     form, detail = None, "Deleted"
                 cell.restricted += _restricted(form) - _restricted(old)
                 results = _results(node, msg, ack=True, detail=detail)
-    rest = msg.targets - owned
+    rest = msg.targets.difference(node.cells)
     if not rest:  # a write's owner, or a leaf of a find
         return results, []
     path = msg.path + (node.irn_id,)
@@ -380,14 +402,15 @@ class InfoNetwork:
             if not isinstance(payload, Query):
                 raise InvalidPayload("find expects a query")
             targets = locate_partitions(self.pmap, payload)
+            expected = frozenset(map(self.pmap.assignment.__getitem__, targets))
         else:
             if not isinstance(payload, InformationalForm):
                 raise InvalidPayload(f"{action.value} expects an informational form")
             violations = validate_form(payload, self.cls)
             if violations:
                 raise InvalidPayload("; ".join(violations))
-            targets = frozenset({self.pmap.cell_of_iname(payload.iname)})
-        expected = frozenset(self.pmap.assignment[c] for c in targets)
+            coord = self.pmap.cell_of_iname(payload.iname)
+            targets, expected = frozenset((coord,)), frozenset((self.pmap.assignment[coord],))
         rid = self._next_request
         self._next_request += 1
         self.requests[rid] = RequestState(expected, self.loop.now)
@@ -450,7 +473,7 @@ class InfoNetwork:
             rec.detail = rmsg.detail
         if rec.status == "pending" and rec.responded >= rec.expected:
             rec.completed_at = now = self.loop.now
-            late = rec.expected != {rmsg.entry} and now >= rec.issued_at + self.deadline
+            late = now >= rec.issued_at + self.deadline and rec.expected != {rmsg.entry}
             rec.status = "timeout" if late else "complete"
 
     # -- inspection -----------------------------------------------------------

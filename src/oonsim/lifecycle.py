@@ -117,6 +117,7 @@ class World:
         self.info = {}               # class name -> InfoNetwork
         self.registry = {}           # obj id -> _Record
         self._allocators = {}        # domain name -> LocalAllocator
+        self._requesters = {}        # class name -> its one Requester
 
     # -- topology -------------------------------------------------------------
 
@@ -238,7 +239,8 @@ class World:
 
     def _settle(self, net: InfoNetwork, entry: int, action: Action, payload, who: str):
         """Issue a request, drain the loop, and take the settled request."""
-        rid = net.issue_request(entry, action, payload, Requester(who))
+        requester = self._requesters.get(who) or self._requesters.setdefault(who, Requester(who))
+        rid = net.issue_request(entry, action, payload, requester)
         self.loop.run()
         return net.requests.pop(rid)
 

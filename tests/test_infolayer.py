@@ -1,7 +1,10 @@
 import random
+from bisect import bisect_right
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oonsim import (
     ANY,
@@ -142,6 +145,86 @@ class TestNextHops:
         msg = _msg(Action.FIND, Query("book", {}), set(pmap.assignment))
         hops = next_hops(nodes[0], pmap, msg, set(pmap.assignment) - nodes[0].owned)
         assert hops == [(1, frozenset({(0, 1), (1, 1)})), (2, frozenset({(1, 0)}))]
+
+
+def climbing_next_hops(node, pmap, msg, targets):
+    """The reference next hop: climb each target owner's parent pointers on
+    the entry's tree until the parent is this node."""
+    parent = pmap.routes[msg.path[0] if msg.path else node.irn_id]
+    groups = {}
+    for t in targets:
+        nid = pmap.assignment[t]
+        while parent[nid] != node.irn_id:
+            nid = parent[nid]
+        groups.setdefault(nid, set()).add(t)
+    return [(nid, frozenset(groups[nid])) for nid in sorted(groups)]
+
+
+@st.composite
+def grids(draw):
+    """Per dimension its sorted cuts (1-3 dimensions, 0-3 cuts each), and a
+    relay node count from 1 to cells + 2, so some nodes may own no cell."""
+    cuts = draw(st.lists(st.lists(st.sampled_from("bdfhkmpsw"), max_size=3, unique=True)
+                         .map(sorted), min_size=1, max_size=3))
+    cells = 1
+    for c in cuts:
+        cells *= len(c) + 1
+    return cuts, draw(st.integers(1, cells + 2))
+
+
+def _grid_map(cuts, irn_count):
+    cls = ObjectClass("grid", tuple((f"a{i}", AttributeKind.TEXT) for i in range(len(cuts))))
+    return build_partition_map(
+        cls, SegmentCuts({f"a{i}": c for i, c in enumerate(cuts)}), irn_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids())
+@example(([[]], 3))                # one cell: entries 1 and 2 own none
+@example(([[]], 1))                # a one-cell grid on one node
+@example(([["d", "k", "p"]], 4))   # a 1-D line of four nodes
+@example(([["d"], ["k"]], 6))      # a 2x2 grid with two cell-less nodes
+def test_next_hop_table_equals_climbing_the_tree(grid):
+    pmap, nodes = _grid_map(*grid)
+    for entry, parent in pmap.routes.items():
+        for node in nodes:
+            nid = node.irn_id
+            if nid not in parent:  # a cell-less node is on no owner's tree
+                continue
+            climbed = {}  # each node below nid -> nid's child toward it
+            for v in parent:
+                child, up = v, parent[v]
+                while up is not None and up != nid:
+                    child, up = up, parent[up]
+                if up == nid:
+                    climbed[v] = child
+            assert parent.below[nid] == climbed
+            msg = _msg(Action.FIND, Query("grid", {}), pmap.assignment,
+                       path=() if nid == entry else (entry,))
+            below = [c for c in sorted(pmap.assignment) if pmap.assignment[c] in climbed]
+            assert next_hops(node, pmap, msg, frozenset(below)) == \
+                climbing_next_hops(node, pmap, msg, below)
+            for c in below:
+                assert next_hops(node, pmap, msg, frozenset({c})) == \
+                    climbing_next_hops(node, pmap, msg, {c})
+
+
+class TestCellOfKey:
+    """cell_of_key against per-dimension bisect_right on a 3x1x2 grid."""
+
+    CUTS = [["g", "n"], [], ["k"]]
+
+    @pytest.mark.parametrize("key, cell", [
+        (("g", "a", "k"), (1, 0, 1)),     # equal to a cut: the segment above it
+        (("n", "z", "a"), (2, 0, 0)),     # equal to the last cut of a dimension
+        (("a", "", "b"), (0, 0, 0)),      # below the first cut
+        (("z", "zz", "x"), (2, 0, 1)),    # above the last cut
+        (("h", "m", "k"), (1, 0, 1)),     # between cuts; no cuts: always segment 0
+    ])
+    def test_matches_bisect_right_per_dimension(self, key, cell):
+        pmap, _ = _grid_map(self.CUTS, 2)
+        assert pmap.cell_of_key(key) == cell
+        assert cell == tuple(bisect_right(c, k) for c, k in zip(pmap.dim_cuts, key))
 
 
 class TestHandleXfind:

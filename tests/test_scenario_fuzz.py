@@ -1,19 +1,21 @@
 """golden.json with one to three hostile edits: parse_scenario accepts it
 or raises ValidationError, and an accepted scenario runs without raising,
-conserves messages and reproduces its trace hash."""
+conserves messages, leaves no request in any relay network and reproduces
+its trace hash."""
 
 import copy
 import json
 import pathlib
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oonsim import parse_scenario, run
 from oonsim.scenario import MAX_STEP_COUNT, ValidationError
 
-GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent.parent
-                     / "scenarios" / "golden.json").read_text())
+SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+GOLDEN = json.loads((SCENARIOS / "golden.json").read_text())
 
 
 def _paths(node, path=()):
@@ -97,4 +99,11 @@ def test_an_edited_golden_scenario_is_rejected_or_runs_cleanly(edit_list):
         return
     first = run(scenario)
     assert first.metrics.conservation_holds()
+    assert not any(net.requests for net in first.world.info.values())
     assert run(scenario).trace.sha256() == first.trace.sha256()
+
+
+@pytest.mark.parametrize("name", ["golden", "fault"])
+def test_a_committed_scenario_leaves_no_request(name):
+    result = run(parse_scenario(json.loads((SCENARIOS / f"{name}.json").read_text())))
+    assert not any(net.requests for net in result.world.info.values())
