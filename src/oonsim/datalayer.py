@@ -166,7 +166,10 @@ class DataNetwork:
         self.trace = trace
         self.metrics = metrics
         self.domains = {}
-        self.deliveries = []        # (tick, summary, visited) per delivered msg
+        # (tick, summary, visited) per delivered msg; a record equal to the
+        # one before, as a burst's chunks make, is that tuple again: a repeat
+        # costs one list slot
+        self.deliveries = []
         self.hosts = {}             # PName -> attached ObjectHost
         self.route_owner = {}       # GlobalId -> domain its routes point to
 
@@ -273,7 +276,10 @@ class DataNetwork:
                 return
         self.metrics.delivered["data"] += 1
         self.metrics.data_hop_total += len(msg.visited) - 1
-        self.deliveries.append((self.loop.now, "->".join(msg.ends), tuple(msg.visited)))
+        record = (self.loop.now, "->".join(msg.ends), tuple(msg.visited))
+        if self.deliveries and record == self.deliveries[-1]:
+            record = self.deliveries[-1]
+        self.deliveries.append(record)
         for out in dispatch(host, msg):
             self.send(out, domain.name)
 

@@ -81,8 +81,9 @@ _STEP_OBJECTS = {
     "discover": (), "audit": (),
 }
 
-# The most chunks or turns a step, and relay nodes times cells a partition,
-# may name: run() sends a message, or builds a node or route, for each.
+# The most chunks or turns a step, and relay nodes times cells summed over a
+# scenario's partitions, may name: run() sends a message, or builds a node or
+# route, for each.
 MAX_STEP_COUNT = 100_000
 
 
@@ -195,9 +196,12 @@ def parse_scenario(raw: dict) -> Scenario:
 
     partitions = []
     irns = {}                     # class name -> relay node count
+    nodes_by_cells = 0            # relay nodes times cells, summed so far
     for i, p in enumerate(_shape(raw.get("partitions", []), list, "partitions")):
         where = f"partitions[{i}]"
         cname = _known(_shape(p, dict, where).get("class"), by_name, where, "class")
+        if cname in irns:
+            raise ValidationError(f"{where}.class", f"class {cname!r} already has a partition")
         cls = by_name[cname]
         cuts = _shape(p.get("cuts", {}), dict, f"{where}.cuts")
         for attr, keys in cuts.items():
@@ -210,7 +214,8 @@ def parse_scenario(raw: dict) -> Scenario:
                                       f"expected strictly increasing strings, got {keys!r}")
         cells = math.prod(len(cuts.get(name, ())) + 1 for name in cls.defining_names)
         irns[cname] = _int(p.get("irn_count", 1), f"{where}.irn_count", 1,
-                           MAX_STEP_COUNT // cells)
+                           (MAX_STEP_COUNT - nodes_by_cells) // cells)
+        nodes_by_cells += irns[cname] * cells
         partitions.append((cname, dict(cuts), irns[cname]))
 
     domains = list(_shape(raw.get("domains", []), list, "domains"))

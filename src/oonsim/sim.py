@@ -61,20 +61,27 @@ class EventLoop:
 class Trace:
     """Append-only run log; lines are prefixed with the current tick.
 
-    The `t=<tick> ` prefix is formatted once per tick.  sha256() streams
-    the lines in chunks and never holds the whole text.
+    The `t=<tick> ` prefix is formatted once per tick.  A call with the tick
+    and text of the call before, as a burst's chunks make at every router,
+    appends that call's line object again: a repeat costs one list slot.
+    sha256() streams the lines in chunks and never holds the whole text.
     """
 
     def __init__(self, loop: EventLoop):
         self._loop = loop
         self._tick, self._prefix = None, ""
+        self._text = self._line = None
         self.lines = []
 
     def log(self, text: str) -> None:
         now = self._loop.now
         if now != self._tick:
             self._tick, self._prefix = now, f"t={now} "
-        self.lines.append(self._prefix + text)
+        elif text == self._text:
+            self.lines.append(self._line)
+            return
+        self._text, self._line = text, self._prefix + text
+        self.lines.append(self._line)
 
     def text(self) -> str:
         if not self.lines:

@@ -367,6 +367,22 @@ class TestTraceLines:
             f"{format_pname(PName(2, 1))}.GetDataFrom->{format_pname(PName(1, 1))}.Frobnicate",
             f"{format_pname(PName(1, 1))}.Frobnicate->{format_pname(PName(2, 1))}.SinkDataFrom"]
 
+    def test_a_burst_keeps_one_line_per_hop_and_one_delivery_record(self):
+        net, hosts = self._chain()
+        k = 5
+        st = run_push(net, hosts[(1, 1)], PName(2, 1), k)
+        assert st.outcome == "completed"
+        msg = hosts[(1, 1)].emit(PName(2, 1), "SinkDataFrom", b"")
+        hops = ("d1", "d2", "d3", "d4")
+        assert net.trace.lines == [_data_line(t, msg, hop)
+                                   for t, hop in enumerate(hops) for _ in range(k)]
+        assert len({id(line) for line in net.trace.lines}) == len(hops)
+        summary = (f"{format_pname(PName(1, 1))}.SendDataTo->"
+                   f"{format_pname(PName(2, 1))}.SinkDataFrom")
+        assert net.deliveries == [(3, summary, hops)] * k
+        assert len({id(record) for record in net.deliveries}) == 1
+        assert st.entries == [(3, summary)] * k
+
     def test_formatted_head_is_not_part_of_equality_or_repr(self):
         net, hosts = self._chain()
         msg = hosts[(1, 1)].emit(PName(2, 1), "SinkDataFrom", b"x")

@@ -243,17 +243,36 @@ class TestParsing:
         assert exc.value.where == f"script[{step}].{key}"
 
     def test_relay_nodes_times_cells_are_bounded(self):
-        raw = golden_raw()            # book has 4 cells, reader 1
-        raw["partitions"][0]["irn_count"] = MAX_STEP_COUNT // 4
-        raw["partitions"][2]["irn_count"] = MAX_STEP_COUNT
+        """Relay nodes times cells, summed over the partitions, may reach
+        MAX_STEP_COUNT and no more; the partition that crosses it is named."""
+        raw = golden_raw()            # book: 4 nodes over 4 cells, person 2 over 2
+        raw["partitions"][2]["irn_count"] = MAX_STEP_COUNT - 20
         assert [p[2] for p in parse_scenario(raw).partitions] == [
-            MAX_STEP_COUNT // 4, 2, MAX_STEP_COUNT]
-        for i, irns in ((0, MAX_STEP_COUNT // 4 + 1), (2, MAX_STEP_COUNT + 1)):
-            bad = golden_raw()
-            bad["partitions"][i]["irn_count"] = irns
-            with pytest.raises(ValidationError) as exc:
-                parse_scenario(bad)
-            assert exc.value.where == f"partitions[{i}].irn_count"
+            4, 2, MAX_STEP_COUNT - 20]
+        raw["partitions"][2]["irn_count"] += 1
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where == "partitions[2].irn_count"
+
+        raw = golden_raw()            # book alone reaches the bound; person crosses it
+        raw["partitions"][0]["irn_count"] = MAX_STEP_COUNT // 4
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where == "partitions[1].irn_count"
+
+        raw = golden_raw()            # three one-cell partitions, each at the bound
+        for p in raw["partitions"]:
+            p.update(cuts={}, irn_count=MAX_STEP_COUNT)
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where == "partitions[1].irn_count"
+
+    def test_second_partition_for_a_class_is_rejected(self):
+        raw = golden_raw()
+        raw["partitions"].append({"class": "book", "cuts": {}, "irn_count": 3})
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where == "partitions[3].class"
 
     def test_root_that_is_not_an_object_is_rejected(self):
         with pytest.raises(ValidationError) as exc:

@@ -191,3 +191,27 @@ def test_each_line_carries_the_tick_it_was_logged_at(before, script):
         loop.post(script[0][0], step, 0, script[0][0])
     loop.run()
     assert [t.lines for t in traces] == list(want)
+
+
+# Each case: one entry per log call, (ticks after the call before, text,
+# whether `lines` is emptied first, as a test that reuses a trace does).
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(["", "a", "a b", "DATA x hop=d1"]),
+                          st.booleans()), max_size=30))
+@example([(0, "a b", False), (0, "a b", False), (1, "a b", False), (0, "a", False),
+          (0, "a b", False), (0, "a b", True), (0, "a b", False), (0, "a", True)])
+def test_a_line_repeated_at_its_tick_is_the_line_before_it(calls):
+    loop = EventLoop()
+    trace = Trace(loop)
+    want, logged = [], []           # since the last clear: lines, (tick, text)
+    for step, text, clear in calls:
+        loop.now += step
+        if clear:
+            del trace.lines[:]
+            want, logged = [], []
+        trace.log(text[:1] + text[1:])      # a fresh string: sharing rests on ==
+        want.append(f"t={loop.now} {text}")
+        logged.append((loop.now, text))
+    assert trace.lines == want
+    for i in range(1, len(want)):
+        assert (trace.lines[i] is trace.lines[i - 1]) == (logged[i] == logged[i - 1])
