@@ -260,6 +260,21 @@ class TestParsing:
             parse_scenario(raw)
         assert exc.value.where == "partitions[1].irn_count"
 
+        raw = golden_raw()            # book alone crosses the bound over its 4 cells
+        raw["partitions"][0]["irn_count"] = MAX_STEP_COUNT // 4 + 1
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where == "partitions[0].irn_count"
+
+        raw = golden_raw()            # reader first leaves 12, which book's 4 x 4 crosses
+        raw["partitions"].insert(0, raw["partitions"].pop(2))
+        raw["partitions"][0]["irn_count"] = MAX_STEP_COUNT - 12
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(raw)
+        assert exc.value.where == "partitions[1].irn_count"
+        raw["partitions"][1]["irn_count"] = 2      # 8, and person's 2 x 2 makes 12
+        assert [p[2] for p in parse_scenario(raw).partitions] == [MAX_STEP_COUNT - 12, 2, 2]
+
         raw = golden_raw()            # three one-cell partitions, each at the bound
         for p in raw["partitions"]:
             p.update(cuts={}, irn_count=MAX_STEP_COUNT)

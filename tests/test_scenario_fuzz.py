@@ -5,6 +5,7 @@ its trace hash."""
 
 import copy
 import json
+import math
 import pathlib
 
 import pytest
@@ -80,6 +81,8 @@ def _apply(raw, edit):
 @given(st.lists(edits, min_size=1, max_size=3))
 # Parsed, then built 10**20 relay nodes until memory ran out.
 @example([("set", ("partitions", 0, "irn_count"), 10**20)])
+# Each partition within the bound, their sum over it.
+@example([("set", ("partitions", 2, "irn_count"), MAX_STEP_COUNT)])
 @example([("set", ("script", 9, "chunks"), MAX_STEP_COUNT)])
 @example([("set", ("script", 11, "turns"), MAX_STEP_COUNT + 1)])
 @example([("dup", 13, 0), ("swap", 0, 15)])
@@ -95,6 +98,9 @@ def test_an_edited_golden_scenario_is_rejected_or_runs_cleanly(edit_list):
     counts = [step[key] for step in scenario.script for key in ("chunks", "turns")
               if key in step] + [irns for _, _, irns in scenario.partitions]
     assert max(counts, default=0) <= MAX_STEP_COUNT
+    cells = {c.class_name: c.defining_names for c in scenario.classes}
+    assert sum(irns * math.prod(len(cuts.get(n, ())) + 1 for n in cells[cname])
+               for cname, cuts, irns in scenario.partitions) <= MAX_STEP_COUNT
     if max(counts, default=0) > RUN_LIMIT:
         return
     first = run(scenario)
