@@ -3,7 +3,11 @@
 A single integer-tick clock; events are processed in (tick, insertion
 sequence) order, which makes every run a pure function of its inputs.
 Each event names the handler it calls and the arguments it passes, as a
-forwarding element's table entry names the next element directly.
+forwarding element's table entry names the next element directly.  On the
+data layer an event is one router visit for a message that travels alone,
+or a burst: consecutive transmissions into one router at one tick, which
+the loop would have run back to back.  So `max_events` counts events, not
+transmissions.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ class EventLoop:
         self._seq += 1
 
     def run(self, max_events: int = None) -> int:
-        """Drain the queue; returns the number of events processed."""
+        """Drain the queue, or run at most max_events events (a burst is one);
+        returns the number of events processed."""
         queue = self._queue
         popleft = queue.popleft
         limit = None if max_events is None else max(max_events, 0)

@@ -1,8 +1,12 @@
 import dataclasses
 import random
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
 from oonsim import (
     DataMessage,
+    DataNetwork,
     ObjectHost,
     PName,
     dispatch,
@@ -14,7 +18,7 @@ from oonsim import (
 from oonsim.datalayer import Domain
 from oonsim.model import AccessPolicy, Rule, format_pname
 
-from conftest import make_datanet
+from conftest import make_datanet, make_sim
 
 GENERIC = ("SendDataTo", "GetDataFrom", "SinkDataFrom")
 
@@ -86,6 +90,18 @@ class TestPlacement:
         st = run_push(net, producer, PName(2, 2), 1)
         assert st.outcome == "completed"
         assert (net.metrics.delivered["data"], net.metrics.mean_hops()) == (1, 1.0)
+
+    def test_new_link_reroutes_prefixes_routed_before_it(self):
+        net = make_datanet(domains=("a", "b", "c"), links=[("a", "b", 1)])
+        hosts = {name: _host(gid, 1) for gid, name in enumerate("abc", 1)}
+        for name, host in hosts.items():
+            net.add_host(name, host)
+        net.link("b", "c")
+        assert (net.domain("c").fib.inter, net.domain("a").fib.inter) == \
+            ({1: "b", 2: "b"}, {2: "b", 3: "b"})
+        for src, dst in (("c", "a"), ("a", "c")):
+            assert run_push(net, hosts[src], hosts[dst].pname, 2).outcome == "completed"
+        assert net.metrics.drops_by_cause == {}
 
     def test_remove_host_clears_its_domain(self):
         net = make_datanet()
@@ -382,6 +398,7 @@ class TestTraceLines:
         assert net.deliveries == [(3, summary, hops)] * k
         assert len({id(record) for record in net.deliveries}) == 1
         assert st.entries == [(3, summary)] * k
+        assert len({id(entry) for entry in st.entries}) == 1
 
     def test_formatted_head_is_not_part_of_equality_or_repr(self):
         net, hosts = self._chain()
@@ -394,3 +411,132 @@ class TestTraceLines:
         twin.trace_head = "DATA overwritten hop="
         assert twin == msg
         assert repr(twin) == repr(msg)
+
+
+# --- bursts against one event per router visit ------------------------------
+
+ALL_METHODS = GENERIC + ("Talking", "Listening")
+LOOP, NO_ROUTE = -1, -2      # targets: the hand-built FIB loop, an unrouted prefix
+BURST_METHODS = ("SinkDataFrom", "SendDataTo", "Listening", "Frobnicate")
+BURST_PAYLOADS = {"SendDataTo": b"pull:2", "Listening": b"turn:1"}
+
+
+class OneEventPerMessage(DataNetwork):
+    """The data layer as it ran before bursts: each message visits each
+    router in an event of its own."""
+
+    def _inject(self, msgs, from_domain):
+        for msg in msgs:
+            self.send(msg, from_domain)
+
+    def _on_router(self, domain, msg):
+        msg.visited.append(domain.name)
+        self.trace.log(msg.trace_head + domain.name)
+        decision, arg = route_data(domain, msg)
+        if decision == "forward":
+            if msg.hop_limit <= 0:
+                self._drop("hop_limit")
+                return
+            msg.hop_limit -= 1
+            self.loop.post(domain.interfaces[arg], self._on_router, self.domains[arg], msg)
+        elif decision == "drop":
+            self._drop(arg)
+        else:
+            self._deliver(domain, arg, msg)
+
+
+@st.composite
+def burst_cases(draw):
+    """(domain count, links, hosts as (domain, denies), steps).
+
+    Domains d0 and d1 are linked in every shape, and the FIB loop runs
+    between them.
+    """
+    n = draw(st.integers(2, 6))
+    shape = draw(st.sampled_from(("line", "ring", "tree")))
+    if shape == "tree":
+        pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    else:
+        pairs = [(i - 1, i) for i in range(1, n)]
+        if shape == "ring" and n > 2:
+            pairs.append((n - 1, 0))
+    links = [(a, b, draw(st.integers(1, 3))) for a, b in pairs]
+    hosts = draw(st.lists(st.tuples(st.integers(0, n - 1), st.booleans()),
+                          min_size=1, max_size=5))
+    host = st.integers(0, len(hosts) - 1)
+    target = st.one_of(host, st.sampled_from((LOOP, NO_ROUTE)))
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(("pull", "push", "talk")), host, target,
+                  st.integers(0, 6)),
+        st.tuples(st.just("remove"), host),
+        st.tuples(st.just("burst"), host,
+                  st.lists(st.tuples(target, st.sampled_from(BURST_METHODS)),
+                           min_size=2, max_size=6)),
+    ), max_size=8))
+    return n, links, hosts, steps
+
+
+def _play(net_class, case):
+    """Build the case's network and run its steps; returns what they left."""
+    n, links, placements, steps = case
+    net = net_class(*make_sim())
+    names = [f"d{i}" for i in range(n)]
+    for name in names:
+        net.add_domain(name)
+    for a, b, latency in links:
+        net.link(names[a], names[b], latency)
+    hosts = []
+    for i, (d, denies) in enumerate(placements):
+        policy = AccessPolicy(exchange_rule=Rule("deny_all")) if denies else None
+        host = ObjectHost(PName(d + 1, i + 1), "book", ALL_METHODS, policy)
+        net.add_host(names[d], host)
+        hosts.append(host)
+    net.domain("d0").fib.inter[99] = "d1"
+    net.domain("d1").fib.inter[99] = "d0"
+    pnames = {LOOP: PName(99, 1), NO_ROUTE: PName(98, 1)}
+    pnames.update((i, h.pname) for i, h in enumerate(hosts))
+    sessions = {"pull": run_pull, "push": run_push, "talk": run_interactive}
+    outcomes = []
+    for step in steps:
+        a = hosts[step[1]]
+        if step[0] == "remove":
+            if a.domain is not None:
+                net.remove_host(a.pname)
+        elif a.domain is None:
+            continue
+        elif step[0] == "burst":
+            net._inject([a.emit(pnames[t], method, BURST_PAYLOADS.get(method, b"x"))
+                         for t, method in step[2]], a.domain)
+            net.loop.run()
+        else:
+            session = sessions[step[0]](net, a, pnames[step[2]], step[3])
+            outcomes.append((session.outcome, session.entries, session.messages_sent))
+    m = net.metrics
+    return {"lines": net.trace.lines, "deliveries": net.deliveries,
+            "drops": m.drops_by_cause, "sent": m.sent, "delivered": m.delivered,
+            "sessions": outcomes, "buffers": [h.buffers for h in hosts]}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(burst_cases())
+# A fork: d0's burst splits at d1 into d2's list, d3's, then d2's again,
+# all due at one tick; d2's second message must not join its first list.
+@example((4, [(0, 1, 1), (1, 2, 1), (1, 3, 1)], [(0, False), (2, False), (3, False)],
+          [("burst", 0, [(1, "SinkDataFrom"), (2, "SinkDataFrom"), (1, "SinkDataFrom")])]))
+# Deliveries mid-burst that reply: at d1 a pull request and a turn are
+# delivered between messages that go on to d2, and their replies set off
+# back to d0 from that tick.
+@example((3, [(0, 1, 1), (1, 2, 1)], [(0, False), (1, False), (2, False)],
+          [("burst", 0, [(2, "SinkDataFrom"), (1, "SendDataTo"), (2, "SinkDataFrom"),
+                         (1, "Listening")])]))
+# hop_limit drops inside a burst that runs round the FIB loop, and a push
+# into a host that denies exchange.
+@example((2, [(0, 1, 3)], [(0, False), (1, True)],
+          [("burst", 0, [(LOOP, "SinkDataFrom"), (1, "SinkDataFrom"), (LOOP, "Frobnicate")]),
+           ("push", 0, 1, 3), ("push", 1, LOOP, 4)]))
+# A 0-chunk pull, and a pull from a removed host (no_such_local).
+@example((3, [(0, 1, 1), (1, 2, 1), (2, 0, 2)], [(0, False), (2, False)],
+          [("pull", 0, 1, 0), ("remove", 1), ("pull", 0, 1, 3), ("talk", 0, NO_ROUTE, 2)]))
+def test_bursts_run_as_one_event_per_message_would(case):
+    assert _play(DataNetwork, case) == _play(OneEventPerMessage, case)

@@ -4,9 +4,11 @@ Random connected domain graphs of 2 to 6 domains, and random sequences of
 instantiate, migrate, delete, drop_host, re-publish and new links, all
 through World.  After every step each object's host, its domain, every
 domain's hosts and owned GlobalIds must equal what a small model says.
-A twin World runs the same steps with its route record cleared before
-each one, so it installs the routes of every host it attaches; equal
-forwarding tables show that the record never skips a needed install.
+A twin World runs the same steps, installs the routes of every host it
+attaches, and after each step routes afresh every prefix it has routed,
+at the owner it last named; equal forwarding tables show that the route
+record never skips a needed install and that a new link leaves no route
+stale.
 """
 
 import pytest
@@ -123,8 +125,9 @@ def fibs(w: World) -> dict:
 # A migration away and back: the prefix must route to the old home again.
 @example((3, [("d1", "d0", 1), ("d2", "d1", 1)], ["d0"],
           [("instantiate", "o0"), ("migrate", "o0", "d2"), ("migrate", "o0", "d0")]))
-# A link made after the prefix was routed: the next attach under it must
-# route over the shortcut, although its owner domain is unchanged.
+# A link made after the prefix was routed: the prefix must route over the
+# shortcut, and the next attach under it, whose owner domain is unchanged,
+# must keep that route.
 @example((3, [("d1", "d0", 1), ("d2", "d1", 1)], ["d0", "d0"],
           [("instantiate", "o0"), ("link", "d2", "d0"), ("instantiate", "o1")]))
 # Delete, then publish again: a fresh p-name under the same prefix.
@@ -134,12 +137,20 @@ def fibs(w: World) -> dict:
 def test_placement_follows_the_model(case):
     n, links, homes, steps = case
     world, twin = build(n, links, homes), build(n, links, homes)
+    owners, install = {}, twin.datanet.install_routes   # prefix -> last owner named
+
+    def install_always(gid, owner):
+        owners[gid] = owner
+        twin.datanet.route_owner.clear()
+        install(gid, owner)
+    twin.datanet.install_routes = install_always
     live, published = {}, set()
     home = {f"o{i}": d for i, d in enumerate(homes)}
     for step in steps:
-        twin.datanet.route_owner.clear()
         apply(world, step, live, published)
         apply(twin, step, live, published)
+        for gid, owner in list(owners.items()):
+            install_always(gid, owner)
         advance(step, live, home, published)
         check(world, live)
         assert fibs(world) == fibs(twin)
